@@ -41,6 +41,7 @@ import (
 	"histanon/internal/phl"
 	"histanon/internal/resilience"
 	"histanon/internal/stindex"
+	"histanon/internal/storage"
 	"histanon/internal/tgran"
 	"histanon/internal/ts"
 	"histanon/internal/wire"
@@ -147,9 +148,10 @@ type run struct {
 }
 
 // newRun assembles a trusted server behind a chaos SP for the schedule.
-// When restore is non-nil the PHL is rebuilt from that snapshot first —
-// the crash-recovery path.
-func newRun(t *testing.T, sc schedule, restore *bytes.Buffer) *run {
+// When store is non-nil it holds the PHL (and, being a tiered store,
+// serves as the spatio-temporal index) — the restart path; otherwise
+// the server uses its in-memory defaults.
+func newRun(t *testing.T, sc schedule, store *storage.TieredStore) *run {
 	t.Helper()
 	r := &run{
 		clock:    chaos.NewClock(time.Unix(0, 0)),
@@ -176,11 +178,15 @@ func newRun(t *testing.T, sc schedule, restore *bytes.Buffer) *run {
 			}},
 		},
 	}
+	if store != nil {
+		cfg.Store = store
+	}
 	if sc.slowIndex {
-		cfg.Index = &chaos.SlowIndex{
-			Inner: stindex.NewGrid(500, 900),
-			Delay: 50 * time.Microsecond,
+		var inner stindex.Index = stindex.NewGrid(500, 900)
+		if store != nil {
+			inner = store
 		}
+		cfg.Index = &chaos.SlowIndex{Inner: inner, Delay: 50 * time.Microsecond}
 	}
 	r.srv = ts.New(cfg, r.outbox)
 	r.srv.SetNotifier(r.notes)
@@ -189,11 +195,6 @@ func newRun(t *testing.T, sc schedule, restore *bytes.Buffer) *run {
 	// sampler, not head luck, to retain every anomalous trace.
 	r.srv.Obs.Tracer.SetSampleRate(0.001)
 	r.outbox.SetSpanSink(r.srv.Obs)
-	if restore != nil {
-		if err := r.srv.RestorePHL(bytes.NewReader(restore.Bytes())); err != nil {
-			t.Fatalf("RestorePHL: %v", err)
-		}
-	}
 	if err := r.srv.AddLBQIDSpec(0, commuteLBQID); err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +525,8 @@ func checkInvariants(t *testing.T, r *run, k int) {
 // TestChaosSchedules runs the invariant suite across 128 seeded fault
 // schedules — SP error rates from 0 to 60%, hard outages, virtual-time
 // latency spikes, tiny queues, slow stores, concurrent load, and
-// mid-run snapshot/restore restarts.
+// mid-run restarts on a durable store (close, then reopen under a fresh
+// server).
 func TestChaosSchedules(t *testing.T) {
 	const seeds = 128
 	for seed := uint64(0); seed < seeds; seed++ {
@@ -538,28 +540,42 @@ func TestChaosSchedules(t *testing.T) {
 				checkInvariants(t, r, 3)
 				return
 			}
-			// Crash-recovery path: run half the workload, snapshot,
-			// "crash", restore into a fresh server, run the rest. Both
-			// instances must satisfy every invariant on their own.
-			r1 := newRun(t, sc, nil)
+			// Restart path: run half the workload on a durable store,
+			// close it, reopen the same directory under a fresh server
+			// and run the rest. Both instances must satisfy every
+			// invariant on their own.
+			opts := storage.Options{Dir: "phl", FS: storage.NewMemFS()}
+			first := openStore(t, opts)
+			r1 := newRun(t, sc, first)
 			r1.workload(sc, 0, 2)
-			var snap bytes.Buffer
-			if err := r1.srv.WritePHLSnapshot(&snap); err != nil {
-				t.Fatalf("WritePHLSnapshot: %v", err)
-			}
 			r1.finish(t)
 			checkInvariants(t, r1, 3)
+			samples := first.NumSamples()
+			if err := first.Close(); err != nil {
+				t.Fatalf("closing the first store: %v", err)
+			}
 
-			r2 := newRun(t, sc, &snap)
-			if r2.srv.Store().NumSamples() != r1.srv.Store().NumSamples() {
-				t.Fatalf("restore lost samples: %d != %d",
-					r2.srv.Store().NumSamples(), r1.srv.Store().NumSamples())
+			store := openStore(t, opts)
+			defer store.Close()
+			r2 := newRun(t, sc, store)
+			if got := r2.srv.Store().NumSamples(); got != samples {
+				t.Fatalf("restore lost samples: %d != %d", got, samples)
 			}
 			r2.workload(sc, 2, 4)
 			r2.finish(t)
 			checkInvariants(t, r2, 3)
 		})
 	}
+}
+
+// openStore opens (or recovers) the durable tiered store behind a run.
+func openStore(t *testing.T, opts storage.Options) *storage.TieredStore {
+	t.Helper()
+	st, _, err := storage.Open(opts)
+	if err != nil {
+		t.Fatalf("opening storage: %v", err)
+	}
+	return st
 }
 
 // TestChaosHardOutageTripsBreakerFailClosed pins the headline behavior:

@@ -118,7 +118,13 @@ type PolicyRequest struct {
 	Suppress bool    `json:"suppress,omitempty"`
 }
 
-// StatsResponse is the body of GET /v1/stats.
+// StatsResponse is the body of GET /v1/stats. The generalization
+// figures cover forwarded generalized requests and are read from the
+// server's histanon_generalization_area_m2 and
+// histanon_generalization_interval_seconds histograms: GenSamples and
+// the two means are exact, while GenAreaP95 is estimated from the
+// histogram buckets (linear interpolation inside the bucket holding
+// the rank).
 type StatsResponse struct {
 	Counters     map[string]int64 `json:"counters"`
 	GenAreaMean  float64          `json:"genAreaMean"`
@@ -159,12 +165,6 @@ type Handler struct {
 	// outbox, when set, contributes delivery-queue and breaker state to
 	// /healthz.
 	outbox *resilience.Outbox
-	// snapshotAge reports seconds since the last durable snapshot (-1 =
-	// never); snapshotStaleAfter is the age beyond which /healthz turns
-	// degraded. Zero-valued when snapshotting is off.
-	snapshotAge        func() float64
-	snapshotStaleAfter float64
-
 	// storage, when set, contributes the durable tiered store's WAL,
 	// tier and recovery state to /healthz.
 	storage *storage.TieredStore
@@ -172,7 +172,7 @@ type Handler struct {
 
 // New returns an http.Handler exposing srv with the default body bound
 // and no admission limit; see SetMaxInFlight, SetMaxBodyBytes,
-// SetOutbox and SetSnapshotAge for the production knobs.
+// SetOutbox and SetStorage for the production knobs.
 func New(srv *ts.Server) *Handler {
 	h := &Handler{srv: srv, mux: http.NewServeMux(), maxBody: DefaultMaxBodyBytes}
 	h.mux.HandleFunc("/v1/location", h.postOnly(h.handleLocation))
@@ -214,15 +214,6 @@ func (h *Handler) SetMaxBodyBytes(n int64) {
 // depth, drops, per-service breaker states). Configure before serving
 // traffic.
 func (h *Handler) SetOutbox(o *resilience.Outbox) { h.outbox = o }
-
-// SetSnapshotAge wires snapshot durability into /healthz: age reports
-// seconds since the last successful snapshot (-1 = never), and ages
-// beyond staleAfter mark the server degraded. Configure before serving
-// traffic.
-func (h *Handler) SetSnapshotAge(age func() float64, staleAfter float64) {
-	h.snapshotAge = age
-	h.snapshotStaleAfter = staleAfter
-}
 
 // SetStorage wires the durable tiered PHL store into /healthz: WAL
 // health (a failed WAL suppresses every request and marks the server
@@ -365,7 +356,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // HealthResponse is the body of GET /healthz: the server's real
 // operational state, not a bare liveness ping. Status is "ok" or
 // "degraded"; Degraded lists the reasons (open breakers, saturated
-// delivery queue, saturated admission, stale snapshot).
+// delivery queue, saturated admission, failed WAL, SLO burn).
 type HealthResponse struct {
 	Status   string   `json:"status"`
 	Degraded []string `json:"degraded,omitempty"`
@@ -376,9 +367,6 @@ type HealthResponse struct {
 	ShedTotal   int64 `json:"shedTotal,omitempty"`
 	// Outbox describes the async SP delivery queue, when one is wired.
 	Outbox *OutboxHealth `json:"outbox,omitempty"`
-	// SnapshotAgeSeconds is the age of the last durable PHL snapshot
-	// (-1 = none yet); omitted when snapshotting is off.
-	SnapshotAgeSeconds *float64 `json:"snapshotAgeSeconds,omitempty"`
 	// Storage describes the durable tiered PHL store, when one is wired.
 	Storage *StorageHealth `json:"storage,omitempty"`
 	// SLO summarizes the privacy-SLO engine (objective states and canary
@@ -447,13 +435,6 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			if state == resilience.BreakerOpen.String() {
 				resp.Degraded = append(resp.Degraded, "breaker_open:"+svc)
 			}
-		}
-	}
-	if h.snapshotAge != nil {
-		age := h.snapshotAge()
-		resp.SnapshotAgeSeconds = &age
-		if h.snapshotStaleAfter > 0 && (age < 0 || age > h.snapshotStaleAfter) {
-			resp.Degraded = append(resp.Degraded, "snapshot_stale")
 		}
 	}
 	if st := h.storage; st != nil {
@@ -578,15 +559,16 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, name := range h.srv.Counters.Names() {
 		counters[name] = h.srv.Counters.Get(name)
 	}
+	area, window := h.srv.Obs.GenAreaM2, h.srv.Obs.GenIntervalS
 	resp := StatsResponse{
 		Counters:     counters,
-		GenSamples:   h.srv.AreaM2.N(),
+		GenSamples:   int(area.Count()),
 		TrackedUsers: h.srv.Store().NumUsers(),
 	}
 	if resp.GenSamples > 0 {
-		resp.GenAreaMean = h.srv.AreaM2.Mean()
-		resp.GenAreaP95 = h.srv.AreaM2.Quantile(0.95)
-		resp.GenWindow = h.srv.IntervalS.Mean()
+		resp.GenAreaMean = area.Sum() / float64(area.Count())
+		resp.GenAreaP95 = area.Quantile(0.95)
+		resp.GenWindow = window.Sum() / float64(window.Count())
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

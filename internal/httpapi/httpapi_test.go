@@ -2,11 +2,15 @@ package httpapi
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"histanon/internal/geo"
+	"histanon/internal/phl"
 	"histanon/internal/sp"
 	"histanon/internal/tgran"
 	"histanon/internal/ts"
@@ -95,6 +99,68 @@ func TestEndToEndFlow(t *testing.T) {
 	}
 	if stats.GenSamples != 1 || stats.GenAreaMean <= 0 {
 		t.Fatalf("generalization stats: %+v", stats)
+	}
+}
+
+// TestStatsGeneralizationFigures holds /v1/stats to the decisions the
+// server returned: genSamples counts exactly the forwarded generalized
+// requests, and the two means are the exact means of their contexts.
+func TestStatsGeneralizationFigures(t *testing.T) {
+	hts, srv, _ := newTestServer(t)
+	if err := srv.AddLBQIDSpec(1, commuteSpec); err != nil {
+		t.Fatal(err)
+	}
+	var n, exact int
+	var areaSum, windowSum float64
+	var areas []float64
+	for day := int64(0); day < 3; day++ {
+		for u := int64(2); u <= 9; u++ {
+			srv.RecordLocation(phl.UserID(u), geo.STPoint{
+				P: geo.Point{X: float64(u * 20), Y: float64(u * 15)},
+				T: day*tgran.Day + 7*tgran.Hour + u*30 + day*u,
+			})
+		}
+		for i, user := range []phl.UserID{1, 1, 10} {
+			p := geo.STPoint{
+				P: geo.Point{X: 100 + float64(i*30), Y: 100},
+				T: day*tgran.Day + 7*tgran.Hour + 600 + int64(i)*900,
+			}
+			dec := srv.Request(user, p, "navigation", nil)
+			if dec.Forwarded && !dec.Generalized {
+				exact++
+			}
+			if dec.Forwarded && dec.Generalized {
+				n++
+				a := dec.Request.Context.Area.Area()
+				areaSum += a
+				windowSum += float64(dec.Request.Context.Time.Duration())
+				areas = append(areas, a)
+			}
+		}
+	}
+	if n < 2 || exact == 0 {
+		t.Fatalf("workload must mix generalized and exact forwards, got %d and %d", n, exact)
+	}
+
+	stats, err := NewClient(hts.URL).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.GenSamples != n {
+		t.Fatalf("genSamples = %d, forwarded generalized decisions = %d", stats.GenSamples, n)
+	}
+	if want := areaSum / float64(n); stats.GenAreaMean != want {
+		t.Fatalf("genAreaMean = %v, exact mean = %v", stats.GenAreaMean, want)
+	}
+	if want := windowSum / float64(n); stats.GenWindow != want {
+		t.Fatalf("genWindowMean = %v, exact mean = %v", stats.GenWindow, want)
+	}
+	// genAreaP95 is a bucket estimate: within one ×10 area bucket of
+	// the exact nearest-rank p95.
+	slices.Sort(areas)
+	p95 := areas[int(math.Ceil(0.95*float64(n)))-1]
+	if stats.GenAreaP95 < p95/10 || stats.GenAreaP95 > p95*10 {
+		t.Fatalf("genAreaP95 = %v, exact p95 = %v", stats.GenAreaP95, p95)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -143,7 +144,7 @@ type failingDelivery struct{}
 
 func (failingDelivery) Deliver(*wire.Request) error { return errors.New("down") }
 
-func TestHealthzReportsOutboxAndSnapshot(t *testing.T) {
+func TestHealthzReportsOutbox(t *testing.T) {
 	outbox := resilience.NewOutbox(failingDelivery{}, resilience.Options{
 		QueueSize: 2, Workers: 1, MaxAttempts: 1,
 		Breaker: resilience.BreakerConfig{FailureThreshold: 1, OpenFor: time.Hour},
@@ -152,13 +153,6 @@ func TestHealthzReportsOutboxAndSnapshot(t *testing.T) {
 	srv := ts.New(ts.Config{DefaultPolicy: ts.Policy{K: 3}}, outbox)
 	h := New(srv)
 	h.SetOutbox(outbox)
-	var ageMu sync.Mutex
-	age := -1.0
-	h.SetSnapshotAge(func() float64 {
-		ageMu.Lock()
-		defer ageMu.Unlock()
-		return age
-	}, 60)
 	hts := httptest.NewServer(h)
 	defer hts.Close()
 
@@ -192,42 +186,11 @@ func TestHealthzReportsOutboxAndSnapshot(t *testing.T) {
 	if health.Status != "degraded" {
 		t.Fatalf("status = %q: %+v", health.Status, health)
 	}
-	wantBreaker, wantSnap := false, false
-	for _, d := range health.Degraded {
-		if d == "breaker_open:nav" {
-			wantBreaker = true
-		}
-		if d == "snapshot_stale" {
-			wantSnap = true
-		}
-	}
-	if !wantBreaker || !wantSnap {
-		t.Fatalf("degraded reasons %v lack breaker_open:nav / snapshot_stale", health.Degraded)
+	if !slices.Contains(health.Degraded, "breaker_open:nav") {
+		t.Fatalf("degraded reasons %v lack breaker_open:nav", health.Degraded)
 	}
 	if health.Outbox == nil || health.Outbox.Breakers["nav"] != "open" {
 		t.Fatalf("outbox health: %+v", health.Outbox)
-	}
-	if health.SnapshotAgeSeconds == nil || *health.SnapshotAgeSeconds != -1 {
-		t.Fatalf("snapshot age: %+v", health.SnapshotAgeSeconds)
-	}
-
-	// A fresh snapshot clears that degradation (the breaker stays).
-	ageMu.Lock()
-	age = 5
-	ageMu.Unlock()
-	hz2, err := http.Get(hts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hz2.Body.Close()
-	var h2 HealthResponse
-	if err := json.NewDecoder(hz2.Body).Decode(&h2); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range h2.Degraded {
-		if d == "snapshot_stale" {
-			t.Fatalf("snapshot_stale persists after a fresh snapshot: %v", h2.Degraded)
-		}
 	}
 
 	// A degraded request decision is visible on the wire.
@@ -255,7 +218,6 @@ func TestFullExpositionWithResilienceWired(t *testing.T) {
 	h := New(srv)
 	h.SetMaxInFlight(4)
 	h.SetOutbox(outbox)
-	srv.SetSnapshotMetrics(func() float64 { return 12 }, func() int64 { return 0 })
 	hts := httptest.NewServer(h)
 	defer hts.Close()
 
@@ -273,8 +235,5 @@ func TestFullExpositionWithResilienceWired(t *testing.T) {
 		if !strings.Contains(out, "# TYPE "+name+" ") {
 			t.Fatalf("exposition lacks family %s:\n%s", name, out)
 		}
-	}
-	if !strings.Contains(out, obs.MetricSnapshotAge+" 12") {
-		t.Fatalf("snapshot age source not wired:\n%s", out)
 	}
 }

@@ -1,8 +1,7 @@
-// Fixed-bucket histograms: the distribution-shaped complement to the
-// Counters/Summary pair. A Histogram is lock-free on the Observe path
-// (atomic adds only), mergeable across shards or replay runs, and
-// renders natively into the Prometheus exposition format (see
-// prometheus.go).
+// Fixed-bucket histograms: the bounded-memory complement to Summary. A
+// Histogram is lock-free on the Observe path (atomic adds only),
+// mergeable across shards or replay runs, and renders natively into the
+// Prometheus exposition format (see prometheus.go).
 
 package metrics
 

@@ -203,19 +203,3 @@ func TestCounterVec(t *testing.T) {
 		v.Inc("only-one")
 	}()
 }
-
-// BenchmarkSummaryInterleaved guards the incremental sorted cache: an
-// interleaved Add/Quantile workload must not re-sort all samples on
-// every query.
-func BenchmarkSummaryInterleaved(b *testing.B) {
-	var s Summary
-	for i := 0; i < 10000; i++ {
-		s.Add(float64(i * 7 % 10000))
-	}
-	s.Quantile(0.5) // warm the cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(float64(i % 1000))
-		s.Quantile(0.99)
-	}
-}

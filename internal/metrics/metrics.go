@@ -2,18 +2,18 @@
 // experiment harness and the trusted server use to report
 // quality-of-service and privacy numbers:
 //
-//   - Summary — streaming order statistics (mean, quantiles, extrema)
-//     over an in-memory sample set, with an incrementally maintained
-//     sorted view so interleaved Add/Quantile traffic stays cheap.
-//   - Counters — named monotone counters ("requests", "unlinkings", …).
+//   - Summary — exact order statistics (mean, quantiles, extrema) over
+//     an in-memory sample set, for offline experiments and reports.
+//     It keeps every sample, so the server uses Histogram instead.
 //   - CounterVec — labeled counter families in the Prometheus data
 //     model (countervec.go).
 //   - Histogram — fixed-bucket, wait-free histograms with merge and
 //     quantile estimation, for latency and distribution metrics on the
 //     request hot path (histogram.go).
-//   - Registry / WritePrometheus — text exposition of all of the above
-//     in the Prometheus 0.0.4 format, served by internal/httpapi at
-//     GET /metrics (prometheus.go).
+//   - Registry / WritePrometheus — text exposition of counter and
+//     gauge functions, CounterVecs and Histograms in the Prometheus
+//     0.0.4 format, served by internal/httpapi at GET /metrics
+//     (prometheus.go).
 //
 // Everything is safe for concurrent use. OBSERVABILITY.md at the
 // repository root documents the concrete metric families the trusted
@@ -24,24 +24,16 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 )
 
 // Summary accumulates float64 samples and answers order statistics.
-// It is safe for concurrent use.
-//
-// Quantile queries are served from a cached sorted view that is
-// invalidated by Add and rebuilt incrementally: only the samples added
-// since the last query are sorted and merged into the cache, so an
-// interleaved Add/Quantile workload costs O(new·log new + n) per query
-// instead of re-sorting all n samples every time (see
-// BenchmarkSummaryInterleaved).
+// It is safe for concurrent use. The first order-statistic query after
+// an Add sorts the samples in place.
 type Summary struct {
 	mu      sync.Mutex
-	samples []float64 // in arrival order; samples[:ns] are merged into sorted
-	sorted  []float64 // cached ascending view of samples[:ns]
-	ns      int       // how many samples the cache covers
+	samples []float64
+	sorted  bool // samples are in ascending order
 	sum     float64
 }
 
@@ -50,6 +42,7 @@ func (s *Summary) Add(v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.samples = append(s.samples, v)
+	s.sorted = false
 	s.sum += v
 }
 
@@ -79,7 +72,10 @@ func (s *Summary) Quantile(q float64) float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	s.refreshSorted()
+	if !s.sorted {
+		sort.Float64s(s.samples)
+		s.sorted = true
+	}
 	idx := int(math.Ceil(q*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
@@ -87,37 +83,7 @@ func (s *Summary) Quantile(q float64) float64 {
 	if idx >= n {
 		idx = n - 1
 	}
-	return s.sorted[idx]
-}
-
-// refreshSorted folds samples added since the last query into the
-// sorted cache: sort just the new tail, then merge the two runs.
-// Callers hold s.mu.
-func (s *Summary) refreshSorted() {
-	if s.ns == len(s.samples) {
-		return
-	}
-	tail := append([]float64(nil), s.samples[s.ns:]...)
-	sort.Float64s(tail)
-	if len(s.sorted) == 0 {
-		s.sorted = tail
-	} else {
-		merged := make([]float64, 0, len(s.sorted)+len(tail))
-		i, j := 0, 0
-		for i < len(s.sorted) && j < len(tail) {
-			if s.sorted[i] <= tail[j] {
-				merged = append(merged, s.sorted[i])
-				i++
-			} else {
-				merged = append(merged, tail[j])
-				j++
-			}
-		}
-		merged = append(merged, s.sorted[i:]...)
-		merged = append(merged, tail[j:]...)
-		s.sorted = merged
-	}
-	s.ns = len(s.samples)
+	return s.samples[idx]
 }
 
 // Min returns the smallest sample, or NaN with no samples.
@@ -133,56 +99,6 @@ func (s *Summary) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f max=%.2f",
 		s.N(), s.Mean(), s.Quantile(0.5), s.Quantile(0.95), s.Max())
-}
-
-// Counters is a set of named monotone counters, safe for concurrent use.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
-
-// Inc adds one to the named counter.
-func (c *Counters) Inc(name string) { c.Addn(name, 1) }
-
-// Addn adds n to the named counter.
-func (c *Counters) Addn(name string, n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[name] += n
-}
-
-// Get returns the counter value (zero when never incremented).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Names returns all counter names in sorted order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// String renders "a=1 b=2 …" in name order.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for i, name := range c.Names() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", name, c.Get(name))
-	}
-	return b.String()
 }
 
 // Ratio returns a/b as a float, or NaN when b is zero — handy for rates

@@ -289,7 +289,7 @@ func TestMetricNamesUniqueAndValid(t *testing.T) {
 		}
 		seen[name] = true
 	}
-	if len(seen) != 57 {
-		t.Fatalf("MetricNames lists %d families, want 57", len(seen))
+	if len(seen) != 55 {
+		t.Fatalf("MetricNames lists %d families, want 55", len(seen))
 	}
 }

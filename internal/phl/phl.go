@@ -184,21 +184,32 @@ func NewStore() *Store {
 
 // Record appends a location sample for the user, creating the history on
 // first use.
+//
+// Readers use the History returned by Store.History outside the lock,
+// so Record never mutates a published History: it publishes a new one.
+// An in-order sample is appended past the old History's length, where
+// no reader of it looks; an out-of-order sample is inserted into a
+// fresh array.
 func (s *Store) Record(u UserID, p geo.STPoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h, ok := s.users[u]
 	if !ok {
 		h = &History{}
-		s.users[u] = h
 		s.order = append(s.order, u)
 	}
-	h.Append(p)
+	next := &History{pts: h.pts}
+	if n := len(h.pts); n > 0 && p.T < h.pts[n-1].T {
+		next.pts = h.pts[:n:n]
+	}
+	next.Append(p)
+	s.users[u] = next
 	s.count++
 }
 
 // History returns the user's history, or nil when the user is unknown.
-// The returned History must be treated as read-only.
+// The returned History is an immutable snapshot: later Record calls do
+// not change it. It must be treated as read-only.
 func (s *Store) History(u UserID) *History {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

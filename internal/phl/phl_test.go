@@ -214,6 +214,59 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestStoreHistoryIsSnapshot pins the contract readers rely on when
+// they use a History outside the store's lock: later records, in order
+// or not, leave a returned History unchanged.
+func TestStoreHistoryIsSnapshot(t *testing.T) {
+	s := NewStore()
+	for i := int64(0); i < 4; i++ {
+		s.Record(1, pt(float64(i), 0, 10*i))
+	}
+	h := s.History(1)
+	before := append([]geo.STPoint(nil), h.Points()...)
+	s.Record(1, pt(9, 9, 100)) // in order
+	s.Record(1, pt(8, 8, 5))   // out of order
+	if h.Len() != len(before) {
+		t.Fatalf("snapshot grew to %d samples", h.Len())
+	}
+	for i, p := range h.Points() {
+		if p != before[i] {
+			t.Fatalf("snapshot sample %d changed: %v -> %v", i, before[i], p)
+		}
+	}
+	if got := s.History(1); got.Len() != 6 || got.At(1) != pt(8, 8, 5) {
+		t.Fatalf("store history after records: %v", got.Points())
+	}
+}
+
+// TestStoreHistoryConcurrentReaders reads histories outside the lock
+// while records land, some out of order; run under -race.
+func TestStoreHistoryConcurrentReaders(t *testing.T) {
+	s := NewStore()
+	done := make(chan struct{})
+	go func() {
+		for i := 0; i < 20000; i++ {
+			ts := int64(i)
+			if i%50 == 0 {
+				ts = int64(i / 2) // out of order
+			}
+			s.Record(UserID(i%3), pt(float64(i), 0, ts))
+		}
+		close(done)
+	}()
+	m := geo.STMetric{}
+	for i := 0; i < 20000; i++ {
+		if h := s.History(UserID(i % 3)); h != nil {
+			h.Closest(pt(0, 0, int64(i)), m)
+			h.In(geo.STBox{Area: rect(0, 0, 100, 100), Time: iv(0, 100)})
+		}
+	}
+	<-done
+	if s.NumSamples() != 20000 {
+		t.Fatalf("NumSamples=%d", s.NumSamples())
+	}
+}
+
 func TestUserIDString(t *testing.T) {
 	if got := UserID(42).String(); got != "u42" {
 		t.Fatalf("String=%q", got)

@@ -1,12 +1,12 @@
 // Package resilience makes the trusted server fail closed under the
-// faults a deployed anonymizer actually meets: service-provider stalls,
-// service-provider outages, overload, and its own restarts. The paper's
-// privacy guarantee (§3, Fig. 1) depends on the TS sitting between
-// users and service providers; this package guarantees that when the SP
-// side misbehaves, the system degrades toward *less* exposure — a
-// request is suppressed rather than forwarded less generalized, and the
-// anonymity state (the PHL the Def. 8 witnesses are drawn from)
-// survives a crash.
+// faults a deployed anonymizer actually meets on its service-provider
+// side: stalls, outages and overload. The paper's privacy guarantee
+// (§3, Fig. 1) depends on the TS sitting between users and service
+// providers; this package guarantees that when the SP side misbehaves,
+// the system degrades toward *less* exposure — a request is suppressed
+// rather than forwarded less generalized. Surviving the TS's own
+// crashes (the PHL the Def. 8 witnesses are drawn from) is the durable
+// store's job: see internal/storage.
 //
 // Components:
 //
@@ -17,8 +17,6 @@
 //     fail-closed: when the queue is full or the breaker is open,
 //     TryDeliver refuses synchronously and the trusted server records
 //     the request as suppressed (degraded), never forwarded.
-//   - Snapshotter (snapshot.go) — periodic crash-safe PHL snapshots
-//     (atomic temp-file + rename) with a staleness probe for /healthz.
 //
 // Every fault outcome is observable: the Outbox feeds the
 // histanon_resilience_* metric families and writes KindDelivery audit

@@ -125,9 +125,17 @@ func applyDefaults(cfg ScenarioConfig) ScenarioConfig {
 }
 
 // GeneralizedStats summarizes the resolution of the generalized,
-// forwarded requests.
+// forwarded requests: the area (m²) and interval (s) of each one's
+// context, in decision order.
 func (r *ScenarioResult) GeneralizedStats() (area, interval *metrics.Summary) {
-	return r.Server.AreaM2, r.Server.IntervalS
+	area, interval = &metrics.Summary{}, &metrics.Summary{}
+	for _, d := range r.Decisions {
+		if d.Forwarded && d.Generalized {
+			area.Add(d.Request.Context.Area.Area())
+			interval.Add(float64(d.Request.Context.Time.Duration()))
+		}
+	}
+	return area, interval
 }
 
 // ExposedSeries returns, for each user whose LBQID was fully exposed,

@@ -414,30 +414,3 @@ func TestTieredStatsAndRecoveryInfo(t *testing.T) {
 		t.Fatal("Recovery() differs from Open's info")
 	}
 }
-
-func TestTieredWriteSnapshotMatchesFlatStore(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	fsys := NewMemFS()
-	ts := mustOpen(t, aggressive(fsys))
-	defer ts.Close()
-	ref := phl.NewStore()
-	randWorkload(rng, 1000, 15, ref.Record, ts.Record)
-
-	var a, b memBuf
-	if err := ref.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatal("tiered WriteSnapshot differs from all-hot store")
-	}
-}
-
-type memBuf []byte
-
-func (b *memBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}

@@ -30,10 +30,10 @@
 // user serialize on that user's lock. Cross-user state is confined to
 // components with their own narrow synchronization: the PHL store and
 // the spatio-temporal index (internally concurrency-safe), the
-// pseudonym manager, the metrics counters/summaries, the atomic message
-// counter, and the generalizer's mutex-guarded randomizer. The user
-// registry itself sits behind a short RWMutex taken only to look up or
-// create a user's state.
+// pseudonym manager, the atomic event counters and histograms, the
+// atomic message counter, and the generalizer's mutex-guarded
+// randomizer. The user registry itself sits behind a short RWMutex
+// taken only to look up or create a user's state.
 //
 // Lock ordering: a request holds only its user's lock while running;
 // the registry lock and component-internal locks nest strictly inside
@@ -42,7 +42,6 @@ package ts
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -362,13 +361,11 @@ type Server struct {
 	routes  map[wire.MsgID]phl.UserID
 	inboxes map[phl.UserID]Inbox
 
-	// Counters: requests, forwarded, generalized, hk_failures,
-	// unlinkings, at_risk, suppressed, exposures.
-	Counters *metrics.Counters
-	// AreaM2 and IntervalS summarize the resolution of forwarded
-	// generalized requests.
-	AreaM2    *metrics.Summary
-	IntervalS *metrics.Summary
+	// Counters counts pipeline events: requests, forwarded,
+	// generalized, hk_failures, unlinkings, at_risk, suppressed, … (see
+	// counters.go). The resolution of forwarded generalized requests is
+	// in Obs.GenAreaM2 and Obs.GenIntervalS.
+	Counters *Counters
 
 	// Obs is the observability layer: span tracer (sampling off by
 	// default), privacy histograms and the optional audit sink. See
@@ -392,14 +389,10 @@ type Server struct {
 	regOnce  sync.Once
 	registry *metrics.Registry
 
-	// Hooks feeding the always-registered resilience families for the
-	// layers above the TS: httpapi installs the admission-control
-	// sources (SetHTTPMetrics), lbserve the snapshot-durability ones
-	// (SetSnapshotMetrics). Unset hooks read as zero (age as -1).
+	// Hooks feeding the always-registered admission-control families:
+	// httpapi installs them (SetHTTPMetrics). Unset hooks read as zero.
 	httpShed     atomic.Pointer[func() int64]
 	httpInFlight atomic.Pointer[func() float64]
-	snapAge      atomic.Pointer[func() float64]
-	snapErrors   atomic.Pointer[func() int64]
 }
 
 // SetHTTPMetrics installs the admission-control metric sources: the
@@ -408,14 +401,6 @@ type Server struct {
 func (s *Server) SetHTTPMetrics(shed func() int64, inflight func() float64) {
 	s.httpShed.Store(&shed)
 	s.httpInFlight.Store(&inflight)
-}
-
-// SetSnapshotMetrics installs the snapshot-durability metric sources:
-// seconds since the last successful snapshot (-1 = never) and the
-// snapshot error counter.
-func (s *Server) SetSnapshotMetrics(age func() float64, errs func() int64) {
-	s.snapAge.Store(&age)
-	s.snapErrors.Store(&errs)
 }
 
 // New returns a trusted server delivering to out.
@@ -447,20 +432,18 @@ func New(cfg Config, out Outbox) *Server {
 		}
 	}
 	s := &Server{
-		cfg:       cfg,
-		out:       out,
-		store:     store,
-		index:     index,
-		pseud:     pseudonym.NewManager(),
-		users:     make(map[phl.UserID]*userState),
-		routes:    make(map[wire.MsgID]phl.UserID),
-		inboxes:   make(map[phl.UserID]Inbox),
-		Counters:  metrics.NewCounters(),
-		AreaM2:    &metrics.Summary{},
-		IntervalS: &metrics.Summary{},
-		Obs:       obs.New(),
-		SLO:       slo.New(cfg.SLO),
-		Wire:      NewWireStats(),
+		cfg:      cfg,
+		out:      out,
+		store:    store,
+		index:    index,
+		pseud:    pseudonym.NewManager(),
+		users:    make(map[phl.UserID]*userState),
+		routes:   make(map[wire.MsgID]phl.UserID),
+		inboxes:  make(map[phl.UserID]Inbox),
+		Counters: &Counters{},
+		Obs:      obs.New(),
+		SLO:      slo.New(cfg.SLO),
+		Wire:     NewWireStats(),
 	}
 	// SLO state transitions audit through the observer's sink, so they
 	// land in the same log as the decisions that caused the burn.
@@ -487,27 +470,18 @@ func (s *Server) Store() phl.Storer { return s.store }
 // (experiments use it as the re-identification ground truth).
 func (s *Server) Pseudonyms() *pseudonym.Manager { return s.pseud }
 
-// counterEvents is the closed set of event counter names the server
-// increments; each becomes one series of the histanon_ts_events_total
-// family. OBSERVABILITY.md documents their meanings.
-var counterEvents = []string{
-	"requests", "forwarded", "generalized", "hk_failures", "unlinkings",
-	"at_risk", "suppressed", "degraded", "exposures", "ondemand_zones",
-	"unlink_failures", "responses", "responses_unroutable",
-}
-
 // MetricsRegistry returns the server's Prometheus registry, building it
 // on first use. internal/httpapi serves it at GET /metrics; every
 // family it registers is documented in OBSERVABILITY.md.
 func (s *Server) MetricsRegistry() *metrics.Registry {
 	s.regOnce.Do(func() {
 		r := metrics.NewRegistry()
-		for _, name := range counterEvents {
-			name := name
+		for e, name := range eventNames {
+			e := event(e)
 			r.RegisterCounterFunc(obs.MetricEvents,
 				"Trusted-server pipeline events by type.",
 				metrics.Labels{"event": name},
-				func() int64 { return s.Counters.Get(name) })
+				func() int64 { return s.Counters.load(e) })
 		}
 		for _, stage := range obs.Stages() {
 			r.RegisterHistogram(obs.MetricStageSeconds,
@@ -525,7 +499,7 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 			nil, s.Obs.GenIntervalS)
 		r.RegisterCounterFunc(obs.MetricGenFailures,
 			"Requests whose generalization could not preserve historical k-anonymity.",
-			nil, func() int64 { return s.Counters.Get("hk_failures") })
+			nil, func() int64 { return s.Counters.load(evHKFailures) })
 		r.RegisterCounterFunc(obs.MetricRotations,
 			"Pseudonym rotations (unlinking actions) across all users.",
 			nil, s.pseud.TotalRotations)
@@ -550,9 +524,8 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 		// The resilience families are always present so the exposition
 		// surface doesn't depend on deployment wiring: a resilience-aware
 		// outbox registers its live series, anything else gets zero
-		// placeholders; the admission-control and snapshot sources are
-		// installed by the layers that own them (SetHTTPMetrics /
-		// SetSnapshotMetrics) and read as zero until then.
+		// placeholders; the admission-control sources are installed by
+		// httpapi (SetHTTPMetrics) and read as zero until then.
 		if src, ok := s.out.(MetricsSource); ok {
 			src.RegisterMetrics(r)
 		} else {
@@ -578,22 +551,6 @@ func (s *Server) MetricsRegistry() *metrics.Registry {
 			"HTTP requests currently being served.",
 			nil, func() float64 {
 				if fn := s.httpInFlight.Load(); fn != nil {
-					return (*fn)()
-				}
-				return 0
-			})
-		r.RegisterGaugeFunc(obs.MetricSnapshotAge,
-			"Seconds since the last successful PHL snapshot (-1 = never).",
-			nil, func() float64 {
-				if fn := s.snapAge.Load(); fn != nil {
-					return (*fn)()
-				}
-				return -1
-			})
-		r.RegisterCounterFunc(obs.MetricSnapshotErrors,
-			"PHL snapshot attempts that failed.",
-			nil, func() int64 {
-				if fn := s.snapErrors.Load(); fn != nil {
 					return (*fn)()
 				}
 				return 0
@@ -806,7 +763,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.lastSeen = p
-	s.Counters.Inc("requests")
+	s.Counters.inc(evRequests)
 	// Assign the pseudonym up front: an unlinking action during this
 	// request must retire the pseudonym the SP has already seen (or
 	// would see).
@@ -815,7 +772,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	// An active on-demand mix zone suppresses service inside its window.
 	if st.plan != nil {
 		if st.plan.Suppresses(p.P, p.T) {
-			s.Counters.Inc("suppressed")
+			s.Counters.inc(evSuppressed)
 			dec := Decision{Suppressed: true}
 			s.finishRequest(collect, head, sp, tc, u, p, service, &dec,
 				0, 0, 0, generalize.Unlimited, geo.STBox{}, "ondemand")
@@ -885,7 +842,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	ctx := geo.STBoxAround(p) // exact context unless generalized
 	if len(matched) > 0 {
 		dec.Generalized = true
-		s.Counters.Inc("generalized")
+		s.Counters.inc(evGeneralized)
 		tol = s.tolerance(service)
 		achievedK = int(^uint(0) >> 1)
 		for _, pi := range matched {
@@ -923,7 +880,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 		}
 		s.Obs.AchievedK.Observe(float64(achievedK))
 		if !dec.HKAnonymity {
-			s.Counters.Inc("hk_failures")
+			s.Counters.inc(evHKFailures)
 			// Step 2 of §6.1: try to unlink future requests.
 			if detail {
 				sp.Sync()
@@ -938,7 +895,7 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	if st.atRisk {
 		dec.AtRisk = true
 		if pol.SuppressAtRisk {
-			s.Counters.Inc("suppressed")
+			s.Counters.inc(evSuppressed)
 			dec.Suppressed = true
 			s.finishRequest(collect, head, sp, tc, u, p, service, &dec,
 				id, pol.K, achievedK, tol, ctx, zone)
@@ -968,8 +925,8 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 			if collect {
 				sp.Event("shed_" + reason)
 			}
-			s.Counters.Inc("suppressed")
-			s.Counters.Inc("degraded")
+			s.Counters.inc(evSuppressed)
+			s.Counters.inc(evDegraded)
 			s.finishRequest(collect, head, sp, tc, u, p, service, &dec,
 				id, pol.K, achievedK, tol, ctx, zone)
 			return dec
@@ -1019,8 +976,8 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 		if detail {
 			sp.Mark(obs.StageForward)
 		}
-		s.Counters.Inc("suppressed")
-		s.Counters.Inc("degraded")
+		s.Counters.inc(evSuppressed)
+		s.Counters.inc(evDegraded)
 		s.finishRequest(collect, head, sp, tc, u, p, service, &dec, id, pol.K, achievedK, tol, ctx, zone)
 		return dec
 	}
@@ -1029,13 +986,11 @@ func (s *Server) RequestTraced(u phl.UserID, p geo.STPoint, service string, data
 	}
 	dec.Forwarded = true
 	dec.Request = req
-	s.Counters.Inc("forwarded")
+	s.Counters.inc(evForwarded)
 	if dec.QIDExposed {
-		s.Counters.Inc("exposures")
+		s.Counters.inc(evExposures)
 	}
 	if dec.Generalized {
-		s.AreaM2.Add(ctx.Area.Area())
-		s.IntervalS.Add(float64(ctx.Time.Duration()))
 		s.Obs.GenAreaM2.Observe(ctx.Area.Area())
 		s.Obs.GenIntervalS.Observe(float64(ctx.Time.Duration()))
 	}
@@ -1189,13 +1144,13 @@ func (s *Server) unlink(u phl.UserID, st *userState, pol Policy, p geo.STPoint, 
 		}
 		s.rotate(u, st, p.T, zone, tc)
 		dec.Unlinked = true
-		s.Counters.Inc("ondemand_zones")
+		s.Counters.inc(evOnDemandZones)
 		return zone
 	}
-	s.Counters.Inc("unlink_failures")
+	s.Counters.inc(evUnlinkFailures)
 	if !st.atRisk {
 		st.atRisk = true
-		s.Counters.Inc("at_risk")
+		s.Counters.inc(evAtRisk)
 		if n := s.getNotifier(); n != nil {
 			n.AtRisk(u, "generalization failed and no unlinking opportunity")
 		}
@@ -1216,7 +1171,7 @@ func (s *Server) rotate(u phl.UserID, st *userState, t int64, zone string, tc ob
 	}
 	st.sessions = make(map[int]*generalize.Session)
 	st.atRisk = false
-	s.Counters.Inc("unlinkings")
+	s.Counters.inc(evUnlinkings)
 	// Rotations are rare, so rendering the trace id here (rather than on
 	// the request hot path) costs nothing per request.
 	var tid string
@@ -1294,37 +1249,6 @@ func quietForTheta(theta float64, tr link.Tracking) int64 {
 	return quiet
 }
 
-// WritePHLSnapshot persists the location database (see phl.WriteSnapshot).
-// LBQID registrations, pseudonyms and in-flight matcher state are not
-// part of the snapshot: patterns are re-registered at boot from their
-// specifications, and exposure state deliberately starts fresh (a
-// restart is an unlinking opportunity, not a liability).
-func (s *Server) WritePHLSnapshot(w io.Writer) error {
-	sw, ok := s.store.(interface{ WriteSnapshot(w io.Writer) error })
-	if !ok {
-		return fmt.Errorf("ts: store %T does not support full snapshots", s.store)
-	}
-	return sw.WriteSnapshot(w)
-}
-
-// RestorePHL loads a snapshot written by WritePHLSnapshot into the
-// server, rebuilding the spatio-temporal index. It must be called
-// before traffic starts; concurrent requests during a restore see a
-// partially loaded database.
-func (s *Server) RestorePHL(r io.Reader) error {
-	loaded, err := phl.ReadSnapshot(r)
-	if err != nil {
-		return err
-	}
-	for _, u := range loaded.Users() {
-		for _, p := range loaded.History(u).Points() {
-			s.store.Record(u, p)
-			s.index.Insert(u, p)
-		}
-	}
-	return nil
-}
-
 // Inbox receives service responses on a user's device.
 type Inbox interface {
 	Receive(resp *wire.Response)
@@ -1376,9 +1300,9 @@ func (s *Server) DeliverResponse(resp *wire.Response) {
 		inbox = s.inboxes[u]
 	}
 	s.respMu.Unlock()
-	s.Counters.Inc("responses")
+	s.Counters.inc(evResponses)
 	if !ok {
-		s.Counters.Inc("responses_unroutable")
+		s.Counters.inc(evResponsesUnroutable)
 	}
 	// Deliver outside the lock: inboxes are user code.
 	if inbox != nil {

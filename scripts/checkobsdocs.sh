@@ -8,7 +8,10 @@
 # the privacy-SLO surface: every /v1/slo and /healthz-SLO JSON field
 # declared in internal/httpapi/slo.go and every canary probe field
 # declared in internal/slo/canary.go. CI runs it in the docs job, so
-# adding a metric or field without documenting it fails the build.
+# adding a metric or field without documenting it fails the build. The
+# metric check also runs in reverse: every histanon_* family the doc
+# names must be declared in internal/obs/obs.go, so removing a family
+# without updating the doc fails too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,9 +19,22 @@ doc=OBSERVABILITY.md
 [ -f "$doc" ] || { echo "$doc missing" >&2; exit 1; }
 fail=0
 
-for name in $(grep -o '"histanon_[a-z0-9_]*"' internal/obs/obs.go | tr -d '"' | sort -u); do
+declared=$(grep -o '"histanon_[a-z0-9_]*"' internal/obs/obs.go | tr -d '"' | sort -u)
+for name in $declared; do
     if ! grep -q "$name" "$doc"; then
         echo "metric family $name undocumented in $doc" >&2
+        fail=1
+    fi
+done
+
+# Reverse: a documented family must exist. Prefix tokens such as
+# histanon_slo_* end in "_" and are skipped; the exposition's
+# _bucket/_sum/_count series suffixes resolve to their family.
+for token in $(grep -o 'histanon_[a-z0-9_]*' "$doc" | sort -u); do
+    case "$token" in *_) continue ;; esac
+    family=$(echo "$token" | sed -E 's/_(bucket|sum|count)$//')
+    if ! grep -qx -e "$token" -e "$family" <<<"$declared"; then
+        echo "metric family $token documented in $doc but not declared in internal/obs/obs.go" >&2
         fail=1
     fi
 done
