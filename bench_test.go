@@ -417,9 +417,9 @@ func BenchmarkE11_ConcurrentThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEObs_Overhead measures the instrumented request pipeline at
-// each span-sampling setting (EXPERIMENTS.md E-obs; `lbbench -obsbench`
-// emits the machine-readable record).
+// BenchmarkEObs_Overhead measures the one-goroutine E11 request
+// pipeline at each span-sampling setting (EXPERIMENTS.md E-obs;
+// pipebench's ledger.tracing_overhead measures tracing cost end to end).
 func BenchmarkEObs_Overhead(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -429,7 +429,15 @@ func BenchmarkEObs_Overhead(b *testing.B) {
 		{"sampling=1pct", 0.01},
 		{"sampling=100pct", 1},
 	} {
-		b.Run(c.name, func(b *testing.B) { sim.BenchObsSample(b, c.sample) })
+		b.Run(c.name, func(b *testing.B) {
+			server := sim.NewThroughputServer(sim.ThroughputClients)
+			server.Obs.Tracer.SetSampleRate(c.sample)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.ThroughputRequest(server, phl.UserID(0), i)
+			}
+		})
 	}
 }
 
