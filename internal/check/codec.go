@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
-	"time"
 
 	"histanon/internal/geo"
+	"histanon/internal/httpapi"
 	"histanon/internal/obs"
 	"histanon/internal/phl"
 	"histanon/internal/tgran"
@@ -17,16 +19,17 @@ import (
 
 // Codec differential oracle: one seeded workload of location updates and
 // service calls is run twice against two identically configured trusted
-// servers. The text leg dispatches ops directly and round-trips every
-// TS→SP request and SP→TS response through the text codec
-// (wire.EncodeRequest / wire.ParseRequest); the binary leg pushes the
-// same ops through binary frames, batch framing and the pooled binary
-// parser, and round-trips the TS↔SP traffic through the binary codec.
-// The two legs must be observationally identical: byte-identical
-// decisions, forwarded requests, responses, audit logs (including
-// trace_ids) and achieved-k histograms. Any difference is a codec bug —
-// the binary wire format silently altering what the privacy pipeline
-// sees or says.
+// servers. The text leg dispatches ops directly into the server. The
+// binary leg encodes the same ops as wire frames, packs them into batch
+// frames and posts every batch through the real POST /v1/batch handler
+// (httpapi.Handler.ServeHTTP), reading its decisions back from the
+// decision frames the handler returns. Both legs round-trip every TS→SP
+// request and SP→TS response through the text codec. The two legs must
+// be observationally identical: byte-identical decisions, forwarded
+// requests, responses, audit logs (including trace_ids) and achieved-k
+// histograms. Any difference is an ingest bug — the binary wire format
+// or the batch handler silently altering what the privacy pipeline sees
+// or says.
 //
 // Determinism notes (why byte-identical comparison is sound):
 //   - pseudonym.Manager mints sequence-numbered pseudonyms, so equal
@@ -89,7 +92,8 @@ type CodecOp struct {
 	Service string
 	Data    map[string]string
 	// Parent is the call's deterministic upstream trace context (calls
-	// only; its trace id is what audit records must agree on).
+	// only; its trace id is what audit records must agree on). The zero
+	// value means untraced.
 	Parent obs.TraceContext
 }
 
@@ -196,7 +200,7 @@ func mintCodecParent(rng *rand.Rand) obs.TraceContext {
 // codecRun is one leg's complete observable behavior.
 type codecRun struct {
 	leg       string
-	decisions []string // one fingerprint per call, in schedule order
+	decisions []string // one frameFingerprint per call, in schedule order
 	requests  []string // canonical text encoding of each forwarded request
 	responses []string // canonical text encoding of each inbox delivery
 	audit     string   // raw audit JSONL bytes
@@ -214,21 +218,18 @@ func (r *codecRun) fail(kind string, q int, format string, args ...any) {
 // newCodecServer builds one leg's trusted server with the shared
 // deterministic configuration and an audit sink into buf. The outbox
 // round-trips every forwarded request and its deterministic SP response
-// through roundReq/roundResp — the leg's codec under test.
-func newCodecServer(w *CodecWorkload, run *codecRun, buf *bytes.Buffer,
-	roundReq func(*wire.Request) (*wire.Request, error),
-	roundResp func(*wire.Response) (*wire.Response, error)) *ts.Server {
-
+// through the text codec.
+func newCodecServer(w *CodecWorkload, run *codecRun, buf *bytes.Buffer) *ts.Server {
 	var srv *ts.Server
 	out := ts.OutboxFunc(func(req *wire.Request) {
-		rt, err := roundReq(req)
+		text, err := wire.EncodeRequest(req)
 		if err != nil {
-			run.fail("request-codec", len(run.requests), "round-trip: %v", err)
+			run.fail("request-codec", len(run.requests), "encode: %v", err)
 			return
 		}
-		text, err := wire.EncodeRequest(rt)
+		rt, err := wire.ParseRequest(text)
 		if err != nil {
-			run.fail("request-codec", len(run.requests), "canonical render: %v", err)
+			run.fail("request-codec", len(run.requests), "round-trip: %v", err)
 			return
 		}
 		run.requests = append(run.requests, text)
@@ -236,7 +237,12 @@ func newCodecServer(w *CodecWorkload, run *codecRun, buf *bytes.Buffer,
 			"status": "ok",
 			"echo":   fmt.Sprintf("%s#%d", rt.Service, rt.ID),
 		}}
-		back, err := roundResp(resp)
+		line, err := wire.EncodeResponse(resp)
+		if err != nil {
+			run.fail("response-codec", len(run.responses), "encode: %v", err)
+			return
+		}
+		back, err := wire.ParseResponse(line)
 		if err != nil {
 			run.fail("response-codec", len(run.responses), "round-trip: %v", err)
 			return
@@ -287,45 +293,53 @@ func (r *codecRun) finish(srv *ts.Server, buf *bytes.Buffer) {
 	r.counters = srv.Counters.String()
 }
 
-// fingerprint renders everything a decision tells the caller; the
-// forwarded request (pseudonym, msgid, generalized context, data) is
-// folded in via its canonical text encoding.
-func fingerprint(i int, d ts.Decision) string {
-	req := "-"
-	if d.Request != nil {
-		if s, err := wire.EncodeRequest(d.Request); err == nil {
-			req = s
-		} else {
-			req = "unencodable: " + err.Error()
-		}
+// decisionFrameOf projects a decision onto the fields /v1/batch returns
+// for it. It is the oracle's own statement of that projection, written
+// independently of the handler's.
+func decisionFrameOf(d ts.Decision) wire.DecisionFrame {
+	f := wire.DecisionFrame{
+		Forwarded:      d.Forwarded,
+		Generalized:    d.Generalized,
+		HKAnonymity:    d.HKAnonymity,
+		Unlinked:       d.Unlinked,
+		AtRisk:         d.AtRisk,
+		Suppressed:     d.Suppressed,
+		Degraded:       d.Degraded,
+		QIDExposed:     d.QIDExposed,
+		MatchedLBQID:   d.MatchedLBQID,
+		DegradedReason: d.DegradedReason,
+		TraceID:        d.TraceID(),
 	}
-	return fmt.Sprintf("call %d fwd=%t gen=%t hk=%t lbqid=%q unlink=%t risk=%t sup=%t deg=%t(%s) qid=%t trace=%s req=%s",
-		i, d.Forwarded, d.Generalized, d.HKAnonymity, d.MatchedLBQID,
-		d.Unlinked, d.AtRisk, d.Suppressed, d.Degraded, d.DegradedReason,
-		d.QIDExposed, d.TraceID(), req)
+	if d.Request != nil {
+		f.Pseudonym = string(d.Request.Pseudonym)
+		f.HasContext = true
+		f.Context = d.Request.Context
+	}
+	return f
 }
 
-// runTextLeg executes the schedule with direct dispatch and text-codec
-// round-trips of the TS↔SP traffic. When concurrent is true the
-// location prefix is ingested by one goroutine per user.
+// frameFingerprint renders every field of a decision frame. Coordinates
+// print in Go's shortest round-trip form, so any bit of drift shows
+// (geo.STBox.String rounds to 0.1 m and would hide it).
+func frameFingerprint(i int, f wire.DecisionFrame) string {
+	ctx := "-"
+	if f.HasContext {
+		a, t := f.Context.Area, f.Context.Time
+		ctx = fmt.Sprintf("[%v,%v]x[%v,%v]@[%d,%d]", a.MinX, a.MaxX, a.MinY, a.MaxY, t.Start, t.End)
+	}
+	return fmt.Sprintf("call %d fwd=%t gen=%t hk=%t lbqid=%q unlink=%t risk=%t sup=%t deg=%t(%s) qid=%t trace=%s pseudo=%q ctx=%s",
+		i, f.Forwarded, f.Generalized, f.HKAnonymity, f.MatchedLBQID,
+		f.Unlinked, f.AtRisk, f.Suppressed, f.Degraded, f.DegradedReason,
+		f.QIDExposed, f.TraceID, f.Pseudonym, ctx)
+}
+
+// runTextLeg executes the schedule with direct dispatch. When
+// concurrent is true the location prefix is ingested by one goroutine
+// per user.
 func runTextLeg(w *CodecWorkload, concurrent bool) *codecRun {
 	run := &codecRun{leg: "text"}
 	var buf bytes.Buffer
-	srv := newCodecServer(w, run, &buf,
-		func(r *wire.Request) (*wire.Request, error) {
-			s, err := wire.EncodeRequest(r)
-			if err != nil {
-				return nil, err
-			}
-			return wire.ParseRequest(s)
-		},
-		func(r *wire.Response) (*wire.Response, error) {
-			s, err := wire.EncodeResponse(r)
-			if err != nil {
-				return nil, err
-			}
-			return wire.ParseResponse(s)
-		})
+	srv := newCodecServer(w, run, &buf)
 
 	ingest := func(op CodecOp) {
 		if !op.Call {
@@ -333,7 +347,7 @@ func runTextLeg(w *CodecWorkload, concurrent bool) *codecRun {
 			return
 		}
 		d := srv.RequestTraced(op.User, op.P, op.Service, op.Data, op.Parent)
-		run.decisions = append(run.decisions, fingerprint(len(run.decisions), d))
+		run.decisions = append(run.decisions, frameFingerprint(len(run.decisions), decisionFrameOf(d)))
 	}
 	forEachUserStream(w.Locs, w.Cfg.Users, concurrent, ingest)
 	for _, op := range w.Ops {
@@ -343,157 +357,121 @@ func runTextLeg(w *CodecWorkload, concurrent bool) *codecRun {
 	return run
 }
 
-// runBinaryLeg executes the same schedule through the binary wire
-// format: ops become frames, frames flow through a wire.Batcher into
-// batch decoding (the same dispatch shape as POST /v1/batch), and the
-// TS↔SP traffic round-trips through the binary request/response codec
-// — including the pooled zero-copy parser.
+// Batch sizes of the binary leg: the crowd prefix goes in batches of
+// codecLocBatch location frames; the call phase in batches of
+// codecOpBatch ops, so calls and movement share batches at every
+// offset and the handler's in-batch ordering is under test.
+const (
+	codecLocBatch = 16
+	codecOpBatch  = 5
+)
+
+// runBinaryLeg executes the same schedule through POST /v1/batch. When
+// concurrent is true the location prefix is posted by one goroutine per
+// user stream, so concurrent handler calls interleave.
 func runBinaryLeg(w *CodecWorkload, concurrent bool) *codecRun {
 	run := &codecRun{leg: "binary"}
 	var buf bytes.Buffer
-	srv := newCodecServer(w, run, &buf,
-		func(r *wire.Request) (*wire.Request, error) {
-			frame, err := wire.EncodeBinaryRequest(r)
-			if err != nil {
-				return nil, err
-			}
-			// Parse twice: the plain parser feeds the comparison, the
-			// pooled parser must agree with it exactly.
-			plain, err := wire.ParseBinaryRequest(frame)
-			if err != nil {
-				return nil, err
-			}
-			pooled := wire.AcquireBinaryRequest()
-			defer pooled.Release()
-			if err := pooled.ParseFrame(frame); err != nil {
-				return nil, fmt.Errorf("pooled parse disagrees: %v", err)
-			}
-			a, _ := wire.EncodeRequest(plain)
-			b, _ := wire.EncodeRequest(&pooled.Request)
-			if a != b {
-				return nil, fmt.Errorf("pooled parse drift: %q vs %q", b, a)
-			}
-			return plain, nil
-		},
-		func(r *wire.Response) (*wire.Response, error) {
-			frame, err := wire.EncodeBinaryResponse(r)
-			if err != nil {
-				return nil, err
-			}
-			return wire.ParseBinaryResponse(frame)
-		})
+	srv := newCodecServer(w, run, &buf)
+	h := httpapi.New(srv)
 
-	// dispatch mirrors httpapi.handleBatch's decode loop.
-	dispatch := func(batch []byte, n int) error {
-		dec, err := wire.NewBatchDecoder(batch)
-		if err != nil {
-			return err
-		}
-		for dec.Next() {
-			switch dec.Type() {
-			case wire.FrameLocation:
-				l, err := wire.ParseLocationPayload(dec.Flags(), dec.Payload())
-				if err != nil {
-					return err
-				}
-				srv.RecordLocation(phl.UserID(l.User), l.Point())
-			case wire.FrameServiceCall:
-				c, err := wire.ParseServiceCallPayload(dec.Flags(), dec.Payload())
-				if err != nil {
-					return err
-				}
-				var parent obs.TraceContext
-				if c.Traceparent != "" {
-					if tc, perr := obs.ParseTraceparent(c.Traceparent); perr == nil {
-						parent = tc
-					}
-				}
-				d := srv.RequestTraced(phl.UserID(c.User), geo.STPoint{
-					P: geo.Point{X: c.X, Y: c.Y}, T: c.T,
-				}, c.Service, c.Data, parent)
-				run.decisions = append(run.decisions, fingerprint(len(run.decisions), d))
-			default:
-				return fmt.Errorf("unexpected %s frame", dec.Type())
-			}
-		}
-		return dec.Err()
-	}
-
-	encodeOp := func(dst []byte, op CodecOp) ([]byte, error) {
-		if !op.Call {
-			return wire.AppendLocation(dst, wire.LocationUpdate{
-				User: int64(op.User), X: op.P.P.X, Y: op.P.P.Y, T: op.P.T,
-			}), nil
-		}
-		return wire.AppendServiceCall(dst, wire.ServiceCall{
-			User: int64(op.User), X: op.P.P.X, Y: op.P.P.Y, T: op.P.T,
-			Service:     op.Service,
-			Traceparent: op.Parent.Traceparent(),
-			Data:        op.Data,
-		})
-	}
-
-	// Phase 1: the location prefix flows through Batchers — one per user
-	// stream — whose size/deadline policy produces multi-frame batches.
-	ingestStream := func(ops []CodecOp) {
-		// An hour-long deadline keeps the timer out of the deterministic
-		// schedule: flushes happen on size or Close only.
-		b, err := wire.NewBatcher(wire.BatcherConfig{
-			MaxBytes: 512, MaxDelay: time.Hour, Flush: dispatch,
-		})
-		if err != nil {
-			run.fail("batcher", -1, "construct: %v", err)
-			return
-		}
+	// post sends ops as one batch and returns the decision frames the
+	// handler answers with, one per service call.
+	post := func(ops []CodecOp) ([]wire.DecisionFrame, error) {
+		var frames []byte
+		calls := 0
 		for _, op := range ops {
-			frame, err := encodeOp(nil, op)
-			if err != nil {
-				run.fail("encode", -1, "location frame: %v", err)
+			if !op.Call {
+				frames = wire.AppendLocation(frames, wire.LocationUpdate{
+					User: int64(op.User), X: op.P.P.X, Y: op.P.P.Y, T: op.P.T,
+				})
 				continue
 			}
-			if err := b.Add(frame); err != nil {
-				run.fail("batcher", -1, "add: %v", err)
+			var tp string
+			if op.Parent != (obs.TraceContext{}) {
+				tp = op.Parent.Traceparent()
 			}
+			var err error
+			frames, err = wire.AppendServiceCall(frames, wire.ServiceCall{
+				User: int64(op.User), X: op.P.P.X, Y: op.P.P.Y, T: op.P.T,
+				Service: op.Service, Traceparent: tp, Data: op.Data,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("encode call: %v", err)
+			}
+			calls++
 		}
-		if err := b.Close(); err != nil {
-			run.fail("batcher", -1, "close: %v", err)
+		batch, err := wire.AppendBatch(nil, len(ops), frames)
+		if err != nil {
+			return nil, fmt.Errorf("encode batch: %v", err)
 		}
-		st := b.Stats()
-		if st.Added != st.Flushed || st.Dropped != 0 || st.Pending != 0 {
-			run.fail("batcher", -1, "conservation: %+v", st)
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(batch))
+		req.Header.Set("Content-Type", httpapi.WireContentType)
+		req.Header.Set("Accept", httpapi.WireContentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		dec, err := wire.NewBatchDecoder(rec.Body.Bytes())
+		if err != nil {
+			return nil, fmt.Errorf("response: %v", err)
+		}
+		var out []wire.DecisionFrame
+		for dec.Next() {
+			if dec.Type() != wire.FrameDecision {
+				return nil, fmt.Errorf("response carries a %s frame", dec.Type())
+			}
+			f, err := wire.ParseDecisionPayload(dec.Flags(), dec.Payload())
+			if err != nil {
+				return nil, fmt.Errorf("response: %v", err)
+			}
+			out = append(out, f)
+		}
+		if err := dec.Err(); err != nil {
+			return nil, fmt.Errorf("response: %v", err)
+		}
+		if len(out) != calls {
+			return nil, fmt.Errorf("%d decisions for %d calls", len(out), calls)
+		}
+		return out, nil
+	}
+
+	// Phase 1: the location prefix, whose decisions are empty.
+	ingestStream := func(ops []CodecOp) {
+		for len(ops) > 0 {
+			n := min(len(ops), codecLocBatch)
+			if _, err := post(ops[:n]); err != nil {
+				run.fail("batch", -1, "location batch: %v", err)
+			}
+			ops = ops[n:]
 		}
 	}
 	if concurrent {
-		streams := partitionByUser(w.Locs, w.Cfg.Users)
 		var wg sync.WaitGroup
-		for _, ops := range streams {
+		for _, stream := range partitionByUser(w.Locs, w.Cfg.Users) {
 			wg.Add(1)
-			go func(ops []CodecOp) {
+			go func(stream []CodecOp) {
 				defer wg.Done()
-				ingestStream(ops)
-			}(ops)
+				ingestStream(stream)
+			}(stream)
 		}
 		wg.Wait()
 	} else {
 		ingestStream(w.Locs)
 	}
 
-	// Phase 2: calls and their interleaved movement go one batch per op
-	// so each decision lands in schedule order, as on /v1/batch.
-	for _, op := range w.Ops {
-		frame, err := encodeOp(nil, op)
+	// Phase 2: calls and their interleaved movement, in schedule order.
+	for ops := w.Ops; len(ops) > 0; {
+		n := min(len(ops), codecOpBatch)
+		frames, err := post(ops[:n])
 		if err != nil {
-			run.fail("encode", len(run.decisions), "op frame: %v", err)
-			continue
+			run.fail("batch", len(run.decisions), "op batch: %v", err)
 		}
-		batch, err := wire.AppendBatch(nil, 1, frame)
-		if err != nil {
-			run.fail("encode", len(run.decisions), "batch frame: %v", err)
-			continue
+		for _, f := range frames {
+			run.decisions = append(run.decisions, frameFingerprint(len(run.decisions), f))
 		}
-		if err := dispatch(batch, 1); err != nil {
-			run.fail("decode", len(run.decisions), "dispatch: %v", err)
-		}
+		ops = ops[n:]
 	}
 	run.finish(srv, &buf)
 	return run
@@ -616,20 +594,21 @@ func splitLines(s string) []string {
 	return out
 }
 
-// RunCodecDifferential runs one workload through both codecs
+// RunCodecDifferential runs one workload through both legs
 // sequentially and returns every observable divergence. Empty slice
-// means the binary wire format is indistinguishable from the text one.
+// means ingest through /v1/batch is indistinguishable from direct
+// dispatch.
 func RunCodecDifferential(w *CodecWorkload) []Divergence {
 	return diffCodecRuns(runTextLeg(w, false), runBinaryLeg(w, false))
 }
 
 // RunCodecConcurrent replays the workload with the crowd-formation
-// prefix ingested by one goroutine per user — through per-stream
-// wire.Batchers on the binary leg — then the call phase sequentially.
-// Per-user order is preserved, and tie-free trajectories make the final
-// state independent of cross-user interleaving, so the two legs must
-// still agree byte for byte. Run under -race: the batcher/decoder
-// interleaving is part of what is being tested.
+// prefix ingested by one goroutine per user — concurrent /v1/batch
+// posts on the binary leg — then the call phase sequentially. Per-user
+// order is preserved, and tie-free trajectories make the final state
+// independent of cross-user interleaving, so the two legs must still
+// agree byte for byte. Run under -race: the concurrent handler calls
+// are part of what is being tested.
 func RunCodecConcurrent(w *CodecWorkload) []Divergence {
 	return diffCodecRuns(runTextLeg(w, true), runBinaryLeg(w, true))
 }

@@ -3,10 +3,14 @@ package check
 import (
 	"strings"
 	"testing"
+
+	"histanon/internal/geo"
+	"histanon/internal/obs"
+	"histanon/internal/wire"
 )
 
-// TestCodecDifferential sweeps 200 seeded workloads through both codec
-// legs. Every leg pair must agree byte for byte on decisions, forwarded
+// TestCodecDifferential sweeps 200 seeded workloads through both legs:
+// direct dispatch and the /v1/batch handler. Every leg pair must agree byte for byte on decisions, forwarded
 // requests, responses, audit logs (trace_ids included), achieved-k
 // buckets and counters — no seed may be skipped.
 func TestCodecDifferential(t *testing.T) {
@@ -54,8 +58,8 @@ func filterCalls(ops []CodecOp) []CodecOp {
 
 // TestCodecConcurrent replays workloads with concurrent crowd ingest:
 // the text leg dispatches per-user goroutines directly while the binary
-// leg pushes each user's stream through its own wire.Batcher into batch
-// decoding. Run under -race, the batcher interleaving is the test.
+// leg posts each user's stream as batches to one shared /v1/batch
+// handler. Run under -race, the handler interleaving is the test.
 func TestCodecConcurrent(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {
@@ -123,6 +127,31 @@ func TestCodecOracleDetectsDivergence(t *testing.T) {
 	// And an honest self-comparison is clean.
 	if divs := diffCodecRuns(text, runTextLeg(w, false)); len(divs) != 0 {
 		t.Fatalf("text leg does not agree with itself: %v", divs)
+	}
+
+	// A binary leg whose service-call frames drop the traceparent must
+	// be flagged on the decisions themselves, not only in the audit log.
+	untraced := *w
+	untraced.Ops = append([]CodecOp(nil), w.Ops...)
+	for i := range untraced.Ops {
+		untraced.Ops[i].Parent = obs.TraceContext{}
+	}
+	found := false
+	for _, d := range diffCodecRuns(text, runBinaryLeg(&untraced, false)) {
+		found = found || d.Kind == "decision"
+	}
+	if !found {
+		t.Error("binary leg without traceparents went undetected on decisions")
+	}
+
+	// The decision fingerprint renders coordinates exactly: contexts
+	// 1e-9 m apart must not collide.
+	a := wire.DecisionFrame{Forwarded: true, HasContext: true,
+		Context: geo.STBox{Area: geo.Rect{MinX: 100, MinY: 200, MaxX: 300, MaxY: 400}}}
+	b := a
+	b.Context.Area.MaxX += 1e-9
+	if frameFingerprint(0, a) == frameFingerprint(0, b) {
+		t.Errorf("contexts 1e-9 m apart share a fingerprint: %s", frameFingerprint(0, a))
 	}
 }
 

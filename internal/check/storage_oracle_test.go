@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,6 +102,24 @@ func TestStorageOracleColdFault(t *testing.T) {
 		}
 		o.Close()
 	}
+}
+
+// fingerprint renders everything a decision tells the caller; the
+// forwarded request (pseudonym, msgid, generalized context, data) is
+// folded in via its canonical text encoding.
+func fingerprint(i int, d ts.Decision) string {
+	req := "-"
+	if d.Request != nil {
+		if s, err := wire.EncodeRequest(d.Request); err == nil {
+			req = s
+		} else {
+			req = "unencodable: " + err.Error()
+		}
+	}
+	return fmt.Sprintf("call %d fwd=%t gen=%t hk=%t lbqid=%q unlink=%t risk=%t sup=%t deg=%t(%s) qid=%t trace=%s req=%s",
+		i, d.Forwarded, d.Generalized, d.HKAnonymity, d.MatchedLBQID,
+		d.Unlinked, d.AtRisk, d.Suppressed, d.Degraded, d.DegradedReason,
+		d.QIDExposed, d.TraceID(), req)
 }
 
 // storageDecisionLeg runs one trusted-server leg of the decision

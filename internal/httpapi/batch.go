@@ -17,7 +17,7 @@ import (
 // POST /v1/batch: the binary wire-protocol ingest channel. The body is
 // one wire batch frame (internal/wire) of location updates and service
 // calls; the text/JSON API stays the debug surface, this endpoint is
-// the hot path a device SDK's wire.Batcher flushes into.
+// the hot path for device SDKs and gateways.
 //
 // Content negotiation: the request Content-Type must be WireContentType
 // or the endpoint answers 415 — the JSON API never arrives here by
@@ -26,10 +26,13 @@ import (
 // frame of decision frames (one per service call, in order); anything
 // else returns the BatchResponse JSON mirror.
 //
-// Location frames feed ts.Server.RecordLocation straight off the
-// request buffer (the parse is zero-copy and zero-alloc); service-call
-// frames go through the same traced request pipeline as POST
-// /v1/request, including per-frame traceparent propagation.
+// A batch is all or nothing: every inner frame is parsed and validated
+// before any is applied, so a malformed frame anywhere rejects the
+// whole batch with 400 and leaves the PHL, the counters and the SP
+// outbox untouched — a device retrying it is never forwarded twice.
+// Applied in batch order, location frames feed ts.Server.RecordLocation
+// and service-call frames go through the same traced request pipeline
+// as POST /v1/request, including per-frame traceparent propagation.
 
 // WireContentType is the media type of the binary wire framing.
 const WireContentType = "application/x-histanon-wire"
@@ -54,6 +57,15 @@ var batchBufPool = sync.Pool{
 		return &b
 	},
 }
+
+// batchFrames holds one batch's parsed frames between the validate and
+// apply passes; pooled so steady-state ingest reuses the slices.
+type batchFrames struct {
+	locs  []wire.LocationUpdate
+	calls []wire.ServiceCall
+}
+
+var batchFramesPool = sync.Pool{New: func() any { return new(batchFrames) }}
 
 // SetWireBatch enables or disables the binary /v1/batch endpoint.
 // Disabled, the route answers 404 and the JSON API remains the only
@@ -113,58 +125,34 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	binaryResp := strings.HasPrefix(r.Header.Get("Accept"), WireContentType)
-	respp := batchBufPool.Get().(*[]byte)
-	defer batchBufPool.Put(respp)
-	decFrames := (*respp)[:0]
-	defer func() { *respp = decFrames }()
-
-	var jsonResp BatchResponse
-	frames, locations, calls := 0, 0, 0
+	bf := batchFramesPool.Get().(*batchFrames)
+	defer func() {
+		clear(bf.calls) // drop the calls' strings and data maps
+		bf.locs, bf.calls = bf.locs[:0], bf.calls[:0]
+		batchFramesPool.Put(bf)
+	}()
+	// Validate pass: parse every frame, apply none.
+	apply := dec
 	for dec.Next() {
-		frames++
+		var err error
 		switch dec.Type() {
 		case wire.FrameLocation:
-			l, err := wire.ParseLocationPayload(dec.Flags(), dec.Payload())
-			if err != nil {
-				ws.DecodeErrors.Add(1)
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-				return
+			var l wire.LocationUpdate
+			if l, err = wire.ParseLocationPayload(dec.Flags(), dec.Payload()); err == nil {
+				bf.locs = append(bf.locs, l)
 			}
-			h.srv.RecordLocation(phl.UserID(l.User), l.Point())
-			locations++
 		case wire.FrameServiceCall:
-			c, err := wire.ParseServiceCallPayload(dec.Flags(), dec.Payload())
-			if err != nil {
-				ws.DecodeErrors.Add(1)
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-				return
-			}
-			calls++
-			var parent obs.TraceContext
-			if c.Traceparent != "" {
-				// Malformed traceparents are ignored, as on /v1/request.
-				if tc, err := obs.ParseTraceparent(c.Traceparent); err == nil {
-					parent = tc
-				}
-			}
-			d := h.srv.RequestTraced(phl.UserID(c.User), geo.STPoint{
-				P: geo.Point{X: c.X, Y: c.Y}, T: c.T,
-			}, c.Service, c.Data, parent)
-			if binaryResp {
-				decFrames = wire.AppendDecision(decFrames, decisionFrame(d))
-			} else {
-				jsonResp.Decisions = append(jsonResp.Decisions, decisionJSON(d))
+			var c wire.ServiceCall
+			if c, err = wire.ParseServiceCallPayload(dec.Flags(), dec.Payload()); err == nil {
+				bf.calls = append(bf.calls, c)
 			}
 		default:
-			if dec.Type() == wire.FrameRequest {
-				ws.Requests.Add(1)
-			} else {
-				ws.Other.Add(1)
-			}
+			ws.Other.Add(1)
+			err = errors.New("batch ingest accepts location and service_call frames, got " + dec.Type().String())
+		}
+		if err != nil {
 			ws.DecodeErrors.Add(1)
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: "batch ingest accepts location and service_call frames, got " + dec.Type().String()})
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
 	}
@@ -173,6 +161,42 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
+
+	binaryResp := strings.HasPrefix(r.Header.Get("Accept"), WireContentType)
+	respp := batchBufPool.Get().(*[]byte)
+	defer batchBufPool.Put(respp)
+	decFrames := (*respp)[:0]
+	defer func() { *respp = decFrames }()
+
+	// Apply pass: replay the validated frames in batch order.
+	var jsonResp BatchResponse
+	locations, calls := 0, 0
+	for apply.Next() {
+		if apply.Type() == wire.FrameLocation {
+			l := bf.locs[locations]
+			locations++
+			h.srv.RecordLocation(phl.UserID(l.User), l.Point())
+			continue
+		}
+		c := &bf.calls[calls]
+		calls++
+		var parent obs.TraceContext
+		if c.Traceparent != "" {
+			// Malformed traceparents are ignored, as on /v1/request.
+			if tc, err := obs.ParseTraceparent(c.Traceparent); err == nil {
+				parent = tc
+			}
+		}
+		d := h.srv.RequestTraced(phl.UserID(c.User), geo.STPoint{
+			P: geo.Point{X: c.X, Y: c.Y}, T: c.T,
+		}, c.Service, c.Data, parent)
+		if binaryResp {
+			decFrames = wire.AppendDecision(decFrames, decisionFrame(d))
+		} else {
+			jsonResp.Decisions = append(jsonResp.Decisions, decisionJSON(d))
+		}
+	}
+	frames := locations + calls
 	ws.Batches.Add(1)
 	ws.BatchFrames.Observe(float64(frames))
 	ws.Locations.Add(int64(locations))

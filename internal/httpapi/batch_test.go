@@ -6,9 +6,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"histanon/internal/tgran"
 	"histanon/internal/wire"
@@ -204,86 +202,60 @@ func TestBatchContentNegotiation(t *testing.T) {
 		t.Fatalf("garbage batch: status %d, want 400", resp.StatusCode)
 	}
 
-	// A request frame is TS→SP traffic; the ingest endpoint rejects it.
-	r := &wire.Request{ID: 1, Pseudonym: "p", Service: "s"}
-	r.Context.Area.MaxX, r.Context.Area.MaxY = 1, 1
-	r.Context.Time.End = 1
-	frames, err := wire.EncodeBinaryRequest(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := wire.AppendBatch(nil, 1, frames)
+	// A decision frame is TS→device traffic; the ingest endpoint
+	// rejects it.
+	batch, err := wire.AppendBatch(nil, 1, wire.AppendDecision(nil, wire.DecisionFrame{Forwarded: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp = postBatch(t, hts.URL, batch, "")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("request frame on ingest: status %d, want 400", resp.StatusCode)
+		t.Fatalf("decision frame on ingest: status %d, want 400", resp.StatusCode)
 	}
 
 	if got := srv.Wire.DecodeErrors.Load(); got != 2 {
 		t.Fatalf("decode errors %d, want 2", got)
 	}
-	if got := srv.Wire.Requests.Load(); got != 1 {
-		t.Fatalf("rejected request frames %d, want 1", got)
+	if got := srv.Wire.Other.Load(); got != 1 {
+		t.Fatalf("rejected other frames %d, want 1", got)
 	}
 }
 
-// TestBatchSenderEndToEnd exercises the client-side Batcher → HTTP →
-// batch decode → pipeline loop, decisions coming back through the
-// callback.
-func TestBatchSenderEndToEnd(t *testing.T) {
-	hts, _, _ := newTestServer(t)
-	c := NewClient(hts.URL)
-	if err := c.SetPolicyLevel(1, "medium"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddLBQID(1, commuteSpec); err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var decisions []wire.DecisionFrame
-	s, err := c.NewBatchSender(BatchSenderConfig{
-		MaxDelay: 5 * time.Millisecond,
-		OnDecision: func(d wire.DecisionFrame) {
-			mu.Lock()
-			decisions = append(decisions, d)
-			mu.Unlock()
-		},
+// TestBatchRejectedAppliesNothing pins that a batch is all or nothing:
+// a bad frame after a location and a service call rejects the batch
+// before either reaches the pipeline, so nothing is recorded, counted
+// or forwarded, and a device retrying the batch is not forwarded twice.
+func TestBatchRejectedAppliesNothing(t *testing.T) {
+	hts, srv, provider := newTestServer(t)
+	frames := wire.AppendLocation(nil, wire.LocationUpdate{User: 2, X: 40, Y: 30, T: 7 * tgran.Hour})
+	frames, err := wire.AppendServiceCall(frames, wire.ServiceCall{
+		User: 1, X: 100, Y: 100, T: 7*tgran.Hour + 600, Service: "navigation",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := int64(2); u <= 9; u++ {
-		if err := s.RecordLocation(u, float64(u*20), float64(u*15), 7*tgran.Hour+u*30); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
+	frames = wire.AppendDecision(frames, wire.DecisionFrame{})
+	batch, err := wire.AppendBatch(nil, 3, frames)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Request(wire.ServiceCall{
-		User: 1, X: 100, Y: 100, T: 7*tgran.Hour + 600,
-		Service: "navigation", Data: map[string]string{"dest": "office"},
-	}); err != nil {
-		t.Fatal(err)
+	resp := postBatch(t, hts.URL, batch, WireContentType)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	if n := srv.Store().NumSamples(); n != 0 {
+		t.Fatalf("rejected batch stored %d PHL samples", n)
 	}
-
-	st := s.Stats()
-	if st.Added != 9 || st.Flushed != 9 || st.Dropped != 0 || st.Pending != 0 {
-		t.Fatalf("sender stats: %+v", st)
+	if n := srv.Counters.Get("requests"); n != 0 {
+		t.Fatalf("rejected batch counted %d requests", n)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(decisions) != 1 {
-		t.Fatalf("got %d decisions, want 1", len(decisions))
+	if reqs := provider.Requests(); len(reqs) != 0 {
+		t.Fatalf("rejected batch forwarded %d requests", len(reqs))
 	}
-	if !decisions[0].Forwarded || decisions[0].MatchedLBQID != "commute" {
-		t.Fatalf("decision: %+v", decisions[0])
+	if ws := srv.Wire; ws.Batches.Load() != 0 || ws.Locations.Load() != 0 || ws.ServiceCalls.Load() != 0 {
+		t.Fatalf("rejected batch counted as ingested: batches=%d locations=%d calls=%d",
+			ws.Batches.Load(), ws.Locations.Load(), ws.ServiceCalls.Load())
 	}
 }

@@ -20,15 +20,14 @@ type WireStats struct {
 	// DecodeErrors counts batches (or frames within them) rejected as
 	// malformed.
 	DecodeErrors atomic.Int64
-	// Locations / ServiceCalls / Requests count well-formed inner
-	// frames by type; Other counts types the batch endpoint does not
+	// Locations / ServiceCalls count well-formed inner frames by type;
+	// Other counts frames of any type the batch endpoint does not
 	// accept.
 	Locations    atomic.Int64
 	ServiceCalls atomic.Int64
-	Requests     atomic.Int64
 	Other        atomic.Int64
 	// BatchFrames observes the inner-frame count per decoded batch —
-	// the batching efficiency the client-side Batcher policy achieves.
+	// the batching efficiency the senders achieve.
 	BatchFrames *metrics.Histogram
 }
 
@@ -46,7 +45,6 @@ func (w *WireStats) register(r *metrics.Registry) {
 	}{
 		{"location", &w.Locations},
 		{"service_call", &w.ServiceCalls},
-		{"request", &w.Requests},
 		{"other", &w.Other},
 	} {
 		src := ft.src

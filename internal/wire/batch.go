@@ -10,16 +10,16 @@ import (
 // allocating, so server-side batch decode stays on the zero-alloc
 // ingest path.
 
-// MaxBatchFrames bounds the declared frame count of one batch; combined
+// maxBatchFrames bounds the declared frame count of one batch; combined
 // with MaxFrameBytes it keeps a hostile header from promising work the
 // payload cannot hold.
-const MaxBatchFrames = 1 << 16
+const maxBatchFrames = 1 << 16
 
 // AppendBatch appends a batch frame wrapping the given complete frames.
 // The frames are trusted to be well-formed (they come from this
 // package's encoders); the decoder re-validates everything anyway.
 func AppendBatch(dst []byte, count int, frames []byte) ([]byte, error) {
-	if count < 0 || count > MaxBatchFrames {
+	if count < 0 || count > maxBatchFrames {
 		return dst, fmt.Errorf("wire: batch frame count %d out of range", count)
 	}
 	if len(frames) > MaxFrameBytes-10 {
@@ -53,7 +53,7 @@ type BatchDecoder struct {
 // NewBatchDecoder validates the outer batch header and positions the
 // decoder before the first inner frame.
 func NewBatchDecoder(batch []byte) (BatchDecoder, error) {
-	typ, flags, payload, rest, err := SplitFrame(batch)
+	typ, flags, payload, rest, err := splitFrame(batch)
 	if err != nil {
 		return BatchDecoder{}, err
 	}
@@ -71,8 +71,8 @@ func NewBatchDecoder(batch []byte) (BatchDecoder, error) {
 	if err != nil {
 		return BatchDecoder{}, err
 	}
-	if n > MaxBatchFrames {
-		return BatchDecoder{}, fmt.Errorf("wire: batch declares %d frames, limit %d", n, MaxBatchFrames)
+	if n > maxBatchFrames {
+		return BatchDecoder{}, fmt.Errorf("wire: batch declares %d frames, limit %d", n, maxBatchFrames)
 	}
 	// Every inner frame costs at least a header; reject counts the
 	// payload cannot possibly hold.
@@ -97,7 +97,7 @@ func (d *BatchDecoder) Next() bool {
 		}
 		return false
 	}
-	typ, flags, payload, rest, err := SplitFrame(d.rest)
+	typ, flags, payload, rest, err := splitFrame(d.rest)
 	if err != nil {
 		d.err = fmt.Errorf("wire: batch frame %d: %w", d.seen, err)
 		return false

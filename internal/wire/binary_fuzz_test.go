@@ -3,11 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
-
-	"histanon/internal/geo"
 )
 
 // FuzzParseBinaryFrame throws arbitrary bytes at the frame splitter and
@@ -15,69 +14,36 @@ import (
 // games must never panic or read past the declared payload, and
 // anything accepted must satisfy the codec closure — re-encoding an
 // accepted message reproduces a frame that parses back to the same
-// message.
+// message. Frames of the retired types 1 and 2 must split as unknown
+// types that no payload parser claims.
 func FuzzParseBinaryFrame(f *testing.F) {
-	req, _ := EncodeBinaryRequest(mkReq())
-	f.Add(req)
-	resp, _ := EncodeBinaryResponse(&Response{ID: 9, Service: "s", Payload: map[string]string{"a": "b"}})
-	f.Add(resp)
+	call, _ := AppendServiceCall(nil, mkCall())
+	retired := func(typ byte) []byte {
+		b := append([]byte(nil), call...)
+		b[3] = typ
+		return b
+	}
+	f.Add(retired(1))
+	f.Add(retired(2))
 	f.Add(AppendLocation(nil, LocationUpdate{User: 3, X: 1.25, Y: -2.5, T: 77}))
-	call, _ := AppendServiceCall(nil, ServiceCall{User: 1, X: math.Pi, Y: 0, T: 5, Service: "svc", Traceparent: "00-x-y-01"})
+	call, _ = AppendServiceCall(nil, ServiceCall{User: 1, X: math.Pi, Y: 0, T: 5, Service: "svc", Traceparent: "00-x-y-01"})
 	f.Add(call)
 	f.Add(AppendDecision(nil, DecisionFrame{Forwarded: true, Pseudonym: "p", TraceID: "t"}))
-	f.Add([]byte{Magic[0], Magic[1], BinaryVersion, byte(FrameLocation), 0xff, 0, 0, 0, 0})
-	f.Add([]byte{Magic[0], Magic[1], BinaryVersion, byte(FrameRequest), 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{magic[0], magic[1], binaryVersion, byte(FrameLocation), 0xff, 0, 0, 0, 0})
+	f.Add([]byte{magic[0], magic[1], binaryVersion, 1, 0, 0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, flags, payload, _, err := SplitFrame(data)
+		typ, flags, payload, _, err := splitFrame(data)
 		if err != nil {
 			return
 		}
 		switch typ {
-		case FrameRequest:
-			r := new(Request)
-			if err := parseRequestPayload(flags, payload, requestDst{r: r, copy: true}); err != nil {
-				return
-			}
-			frame, err := EncodeBinaryRequest(r)
-			if err != nil {
-				t.Fatalf("accepted request does not re-encode: %+v: %v", r, err)
-			}
-			again, err := ParseBinaryRequest(frame)
-			if err != nil {
-				t.Fatalf("re-encoded request does not parse: %v", err)
-			}
-			if !reflect.DeepEqual(again, r) {
-				t.Fatalf("closure violated:\n got %+v\nwant %+v", again, r)
-			}
-			// The pooled zero-copy parse agrees with the allocating one.
-			br := AcquireBinaryRequest()
-			defer br.Release()
-			if err := br.parsePayload(flags, payload); err != nil {
-				t.Fatalf("pooled parse rejects what allocating parse accepts: %v", err)
-			}
-			if !reflect.DeepEqual(&br.Request, r) {
-				t.Fatalf("pooled parse disagrees:\n got %+v\nwant %+v", &br.Request, r)
-			}
-		case FrameResponse:
-			r, err := parseResponsePayload(payload)
-			if err != nil {
-				return
-			}
-			frame, err := EncodeBinaryResponse(r)
-			if err != nil {
-				t.Fatalf("accepted response does not re-encode: %v", err)
-			}
-			again, err := ParseBinaryResponse(frame)
-			if err != nil || !reflect.DeepEqual(again, r) {
-				t.Fatalf("response closure violated: %v", err)
-			}
 		case FrameLocation:
 			l, err := ParseLocationPayload(flags, payload)
 			if err != nil {
 				return
 			}
-			again, err := ParseLocation(AppendLocation(nil, l))
+			again, err := parseLocation(AppendLocation(nil, l))
 			if err != nil || again != l {
 				t.Fatalf("location closure violated: %v", err)
 			}
@@ -90,7 +56,7 @@ func FuzzParseBinaryFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted call does not re-encode: %v", err)
 			}
-			again, err := ParseServiceCall(frame)
+			again, err := parseServiceCall(frame)
 			if err != nil || !reflect.DeepEqual(again, c) {
 				t.Fatalf("service-call closure violated: %v", err)
 			}
@@ -99,7 +65,7 @@ func FuzzParseBinaryFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			again, err := ParseDecision(AppendDecision(nil, d))
+			again, err := parseDecision(AppendDecision(nil, d))
 			if err != nil || again != d {
 				t.Fatalf("decision closure violated: %v", err)
 			}
@@ -111,21 +77,24 @@ func FuzzParseBinaryFrame(f *testing.F) {
 			for dec.Next() {
 			}
 			_ = dec.Err()
+		default:
+			if name := typ.String(); name != fmt.Sprintf("type_%d", byte(typ)) {
+				t.Fatalf("unknown frame type %d named %q", byte(typ), name)
+			}
 		}
 	})
 }
 
 // FuzzBatchRoundTrip drives batching from both directions. The fuzz
 // input is first read as a value script building a batch of location
-// updates and service calls — decode(encode(batch)) must reproduce the
-// batch exactly, and every request frame must survive
-// binary→text→binary byte-identically. The raw input is then also
-// decoded directly as a batch, so mutated batch framing exercises the
-// decoder's bounds checks.
+// updates and service calls, with and without data maps —
+// decode(encode(batch)) must reproduce the batch exactly. The raw input
+// is then also decoded directly as a batch, so mutated batch framing
+// exercises the decoder's bounds checks.
 func FuzzBatchRoundTrip(f *testing.F) {
 	var frames []byte
 	frames = AppendLocation(frames, LocationUpdate{User: 1, X: 2.25, Y: -3, T: 4})
-	frames, _ = AppendBinaryRequest(frames, mkReq())
+	frames, _ = AppendServiceCall(frames, mkCall())
 	seed, _ := AppendBatch(nil, 2, frames)
 	f.Add(seed)
 	f.Add([]byte("HW\x01\x06\x00\x00\x00\x00\x00"))
@@ -149,10 +118,13 @@ func FuzzBatchRoundTrip(f *testing.F) {
 				}
 				built = AppendLocation(built, l)
 				want = append(want, l)
-			case 1:
+			default:
 				c := ServiceCall{
 					User: vals.int64(), X: vals.coord(), Y: vals.coord(), T: vals.int64(),
 					Service: "s" + vals.str(), Traceparent: vals.str(),
+				}
+				if kind%3 == 2 {
+					c.Data = map[string]string{"k" + vals.str(): vals.str(), "z": vals.str()}
 				}
 				if math.IsNaN(c.X) || math.IsInf(c.X, 0) || math.IsNaN(c.Y) || math.IsInf(c.Y, 0) {
 					continue
@@ -162,24 +134,6 @@ func FuzzBatchRoundTrip(f *testing.F) {
 					t.Fatalf("encode %+v: %v", c, err)
 				}
 				want = append(want, c)
-			case 2:
-				r := &Request{
-					ID: MsgID(vals.int64()), Pseudonym: Pseudonym("p" + vals.str()), Service: "s" + vals.str(),
-				}
-				minx, miny := vals.coord(), vals.coord()
-				w, h := math.Abs(vals.coord()), math.Abs(vals.coord())
-				r.Context.Area = geo.Rect{MinX: minx, MinY: miny, MaxX: minx + w, MaxY: miny + h}
-				start := vals.int64()
-				r.Context.Time.Start = start
-				r.Context.Time.End = start + int64(vals.uint16())
-				if r.Validate() != nil {
-					continue
-				}
-				var err error
-				if built, err = AppendBinaryRequest(built, r); err != nil {
-					t.Fatalf("encode %+v: %v", r, err)
-				}
-				want = append(want, r)
 			}
 		}
 		if len(want) > 0 {
@@ -217,26 +171,6 @@ func FuzzBatchRoundTrip(f *testing.F) {
 					t.Fatalf("accepted call does not re-encode: %v", err)
 				}
 				got = append(got, c)
-			case FrameRequest:
-				r := new(Request)
-				if err := parseRequestPayload(dec.Flags(), dec.Payload(), requestDst{r: r, copy: true}); err != nil {
-					return
-				}
-				// Cross-codec: binary→text→binary is the identity on
-				// canonical frames.
-				line, err := EncodeRequest(r)
-				if err != nil {
-					t.Fatalf("accepted request does not text-encode: %v", err)
-				}
-				viaText, err := ParseRequest(line)
-				if err != nil {
-					t.Fatalf("text round-trip failed: %v", err)
-				}
-				rebuilt, err = AppendBinaryRequest(rebuilt, viaText)
-				if err != nil {
-					t.Fatalf("text round-trip does not binary-encode: %v", err)
-				}
-				got = append(got, r)
 			default:
 				return
 			}
@@ -271,10 +205,6 @@ func checkBatchEquals(t *testing.T, batch []byte, want []any) {
 			got, err = ParseLocationPayload(dec.Flags(), dec.Payload())
 		case FrameServiceCall:
 			got, err = ParseServiceCallPayload(dec.Flags(), dec.Payload())
-		case FrameRequest:
-			r := new(Request)
-			err = parseRequestPayload(dec.Flags(), dec.Payload(), requestDst{r: r, copy: true})
-			got = r
 		default:
 			t.Fatalf("frame %d: unexpected type %s", i, dec.Type())
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,178 +12,90 @@ import (
 	"histanon/internal/geo"
 )
 
-func mkReq() *Request {
-	return &Request{
-		ID:        42,
-		Pseudonym: "p-1337",
-		Service:   "weather",
-		Context: geo.STBox{
-			Area: geo.Rect{MinX: 100.25, MinY: -50.5, MaxX: 200.75, MaxY: 50.5},
-			Time: geo.Interval{Start: 1000, End: 2000},
-		},
+// mkCall is the reference service call the malformed-input cases
+// corrupt: it carries every payload field kind — varints, coordinates,
+// strings and a data map.
+func mkCall() ServiceCall {
+	return ServiceCall{
+		User: 42, X: 100.25, Y: -50.5, T: 1000,
+		Service: "weather", Traceparent: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
 		Data: map[string]string{"q": "forecast", "units": "si"},
 	}
 }
 
-func binaryRequestCases() map[string]*Request {
-	return map[string]*Request{
-		"basic": mkReq(),
-		"empty data": {
-			ID: -7, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{Area: geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Time: geo.Interval{Start: -5, End: 5}},
-		},
-		"unicode strings": {
-			ID: 1 << 60, Pseudonym: "αβ γ=δ&ε", Service: "täxi service",
-			Context: geo.STBox{Area: geo.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}, Time: geo.Interval{Start: 0, End: 0}},
-			Data:    map[string]string{"a b": "c&d", "ключ": "значение", "~": "="},
-		},
-		"irrational coords": {
-			ID: 0, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: math.Pi, MinY: math.E, MaxX: 4, MaxY: 3},
-				Time: geo.Interval{Start: math.MinInt64, End: math.MaxInt64},
-			},
-		},
-		"huge coords": {
-			ID: math.MaxInt64, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: -1e300, MinY: -math.MaxFloat64, MaxX: 1e300, MaxY: math.MaxFloat64},
-				Time: geo.Interval{Start: 0, End: 1},
-			},
-		},
-		"denormal coords": {
-			ID: 1, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: -5e-324, MinY: 0, MaxX: 5e-324, MaxY: 1e-300},
-				Time: geo.Interval{Start: 0, End: 1},
-			},
-		},
-		"negative zero": {
-			ID: 1, Pseudonym: "p", Service: "s",
-			Context: geo.STBox{
-				Area: geo.Rect{MinX: math.Copysign(0, -1), MinY: math.Copysign(0, -1), MaxX: 0, MaxY: 1},
-				Time: geo.Interval{Start: 0, End: 1},
-			},
-		},
+// payloadOf splits one complete frame of type want, rejecting trailing
+// bytes after it.
+func payloadOf(frame []byte, want FrameType) (byte, []byte, error) {
+	typ, flags, payload, rest, err := splitFrame(frame)
+	if err != nil {
+		return 0, nil, err
 	}
+	if typ != want {
+		return 0, nil, fmt.Errorf("frame type %s, want %s", typ, want)
+	}
+	if len(rest) != 0 {
+		return 0, nil, fmt.Errorf("%d trailing bytes after frame", len(rest))
+	}
+	return flags, payload, nil
 }
 
-func TestBinaryRequestRoundTrip(t *testing.T) {
-	for name, r := range binaryRequestCases() {
-		t.Run(name, func(t *testing.T) {
-			frame, err := EncodeBinaryRequest(r)
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			got, err := ParseBinaryRequest(frame)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			if !reflect.DeepEqual(got, r) {
-				t.Fatalf("round trip:\n got %+v\nwant %+v", got, r)
-			}
-			// Canonical: re-encoding the parse reproduces the frame
-			// byte for byte (this is what catches a lost −0 sign bit,
-			// which DeepEqual's −0 == +0 cannot).
-			again, err := EncodeBinaryRequest(got)
-			if err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			if !bytes.Equal(frame, again) {
-				t.Fatalf("re-encode differs:\n got %x\nwant %x", again, frame)
-			}
-
-			// Pooled zero-copy parse sees the same request.
-			br := AcquireBinaryRequest()
-			defer br.Release()
-			if err := br.ParseFrame(frame); err != nil {
-				t.Fatalf("pooled parse: %v", err)
-			}
-			if !reflect.DeepEqual(&br.Request, r) {
-				t.Fatalf("pooled parse:\n got %+v\nwant %+v", &br.Request, r)
-			}
-		})
+func parseLocation(frame []byte) (LocationUpdate, error) {
+	flags, p, err := payloadOf(frame, FrameLocation)
+	if err != nil {
+		return LocationUpdate{}, err
 	}
+	return ParseLocationPayload(flags, p)
 }
 
-// TestCrossCodecIdentity pushes every case binary→text→binary and
-// asserts the final frame is byte-identical to the first: the two
-// codecs agree on every value either can carry.
-func TestCrossCodecIdentity(t *testing.T) {
-	for name, r := range binaryRequestCases() {
-		t.Run(name, func(t *testing.T) {
-			frame, err := EncodeBinaryRequest(r)
-			if err != nil {
-				t.Fatalf("encode binary: %v", err)
-			}
-			viaBinary, err := ParseBinaryRequest(frame)
-			if err != nil {
-				t.Fatalf("parse binary: %v", err)
-			}
-			line, err := EncodeRequest(viaBinary)
-			if err != nil {
-				t.Fatalf("encode text: %v", err)
-			}
-			viaText, err := ParseRequest(line)
-			if err != nil {
-				t.Fatalf("parse text: %v", err)
-			}
-			again, err := EncodeBinaryRequest(viaText)
-			if err != nil {
-				t.Fatalf("re-encode binary: %v", err)
-			}
-			if !bytes.Equal(frame, again) {
-				t.Fatalf("binary→text→binary not identity:\n got %x\nwant %x", again, frame)
-			}
-		})
+func parseServiceCall(frame []byte) (ServiceCall, error) {
+	flags, p, err := payloadOf(frame, FrameServiceCall)
+	if err != nil {
+		return ServiceCall{}, err
 	}
+	return ParseServiceCallPayload(flags, p)
 }
 
-func TestBinaryResponseRoundTrip(t *testing.T) {
-	cases := []*Response{
-		{ID: 42, Service: "weather", Payload: map[string]string{"temp": "21", "sky": "clear"}},
-		{ID: -1, Service: "s"},
-		{ID: 0, Service: "täxi", Payload: map[string]string{"a&b": "c=d"}},
+func parseDecision(frame []byte) (DecisionFrame, error) {
+	flags, p, err := payloadOf(frame, FrameDecision)
+	if err != nil {
+		return DecisionFrame{}, err
 	}
-	for _, r := range cases {
-		frame, err := EncodeBinaryResponse(r)
-		if err != nil {
-			t.Fatalf("encode %v: %v", r, err)
-		}
-		got, err := ParseBinaryResponse(frame)
-		if err != nil {
-			t.Fatalf("parse %v: %v", r, err)
-		}
-		if !reflect.DeepEqual(got, r) {
-			t.Fatalf("round trip:\n got %+v\nwant %+v", got, r)
-		}
-	}
-	if _, err := EncodeBinaryResponse(&Response{ID: 1}); err == nil {
-		t.Fatal("empty service encoded")
-	}
+	return ParseDecisionPayload(flags, p)
 }
+
+// The round-trip tables cover both coordinate paths: lattice values
+// take fixed point; irrational, huge, denormal and negative-zero values
+// take the IEEE escape. Re-encoding the parse must reproduce the frame
+// byte for byte — the check that catches a lost −0 sign bit, which
+// float equality cannot.
 
 func TestLocationRoundTrip(t *testing.T) {
+	negZero := math.Copysign(0, -1)
 	cases := []LocationUpdate{
 		{User: 7, X: 100.25, Y: -50.5, T: 1234},
 		{User: -1, X: 0, Y: 0, T: 0},
 		{User: math.MaxInt64, X: math.Pi, Y: -math.E, T: math.MinInt64},
 		{User: 0, X: 5e-324, Y: -1e300, T: 99},
+		{User: 1, X: negZero, Y: 1, T: 1},
+		{User: 2, X: -math.MaxFloat64, Y: math.SmallestNonzeroFloat64, T: 2},
 	}
 	for _, l := range cases {
 		frame := AppendLocation(nil, l)
-		got, err := ParseLocation(frame)
+		got, err := parseLocation(frame)
 		if err != nil {
 			t.Fatalf("parse %+v: %v", l, err)
 		}
 		if got != l {
 			t.Fatalf("round trip: got %+v want %+v", got, l)
 		}
+		if again := AppendLocation(nil, got); !bytes.Equal(frame, again) {
+			t.Fatalf("%+v: re-encode differs:\n got %x\nwant %x", l, again, frame)
+		}
 	}
 	// Non-finite coordinates encode (IEEE path) but the parser rejects
-	// them, mirroring Request.Validate.
+	// them.
 	for _, bad := range []LocationUpdate{{X: math.NaN()}, {Y: math.Inf(1)}} {
-		if _, err := ParseLocation(AppendLocation(nil, bad)); err == nil {
+		if _, err := parseLocation(AppendLocation(nil, bad)); err == nil {
 			t.Fatalf("non-finite location %+v parsed", bad)
 		}
 	}
@@ -190,25 +103,46 @@ func TestLocationRoundTrip(t *testing.T) {
 
 func TestServiceCallRoundTrip(t *testing.T) {
 	cases := []ServiceCall{
+		mkCall(),
 		{User: 7, X: 100.25, Y: -50.5, T: 1234, Service: "weather", Data: map[string]string{"q": "now"}},
 		{User: 0, X: 0, Y: 0, T: 0, Service: "s", Traceparent: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
 		{User: -3, X: math.Pi, Y: 2, T: -7, Service: "täxi"},
+		{User: math.MinInt64, X: -5e-324, Y: 1e-300, T: math.MaxInt64, Service: "αβ γ=δ&ε",
+			Data: map[string]string{"a b": "c&d", "ключ": "значение", "~": "="}},
+		{User: 1, X: math.Copysign(0, -1), Y: math.Copysign(0, -1), T: 1, Service: "s"},
+		{User: 1, X: -1e300, Y: math.MaxFloat64, T: 1, Service: "s", Data: map[string]string{"k": ""}},
 	}
 	for _, c := range cases {
 		frame, err := AppendServiceCall(nil, c)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", c, err)
 		}
-		got, err := ParseServiceCall(frame)
+		got, err := parseServiceCall(frame)
 		if err != nil {
 			t.Fatalf("parse %+v: %v", c, err)
 		}
 		if !reflect.DeepEqual(got, c) {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", got, c)
 		}
+		again, err := AppendServiceCall(nil, got)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", got, err)
+		}
+		if !bytes.Equal(frame, again) {
+			t.Fatalf("%+v: re-encode differs:\n got %x\nwant %x", c, again, frame)
+		}
 	}
 	if _, err := AppendServiceCall(nil, ServiceCall{User: 1}); err == nil {
 		t.Fatal("empty service encoded")
+	}
+	for _, bad := range []ServiceCall{{X: math.NaN(), Service: "s"}, {Y: math.Inf(-1), Service: "s"}} {
+		frame, err := AppendServiceCall(nil, bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseServiceCall(frame); err == nil {
+			t.Fatalf("non-finite service call %+v parsed", bad)
+		}
 	}
 }
 
@@ -231,7 +165,7 @@ func TestDecisionRoundTrip(t *testing.T) {
 	}
 	for _, d := range cases {
 		frame := AppendDecision(nil, d)
-		got, err := ParseDecision(frame)
+		got, err := parseDecision(frame)
 		if err != nil {
 			t.Fatalf("parse %+v: %v", d, err)
 		}
@@ -269,10 +203,10 @@ func TestFixedCoordSelection(t *testing.T) {
 }
 
 // TestBinaryParseRejectsMalformed feeds the parser a gauntlet of
-// header, varint, length and canonicality abuse; every case must fail
-// cleanly.
+// header, varint, length and canonicality abuse on service-call frames,
+// which carry every payload field kind; every case must fail cleanly.
 func TestBinaryParseRejectsMalformed(t *testing.T) {
-	good, err := EncodeBinaryRequest(mkReq())
+	good, err := AppendServiceCall(nil, mkCall())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,97 +228,84 @@ func TestBinaryParseRejectsMalformed(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[5:9], binary.LittleEndian.Uint32(b[5:9])-1)
 			return b
 		}),
-		"wrong type": corrupt(func(b []byte) []byte { b[3] = byte(FrameResponse); return b }),
+		"wrong type":     corrupt(func(b []byte) []byte { b[3] = byte(FrameLocation); return b }),
+		"retired type 1": corrupt(func(b []byte) []byte { b[3] = 1; return b }),
+		"retired type 2": corrupt(func(b []byte) []byte { b[3] = 2; return b }),
 	}
 	for name, frame := range cases {
-		if _, err := ParseBinaryRequest(frame); err == nil {
+		if _, err := parseServiceCall(frame); err == nil {
 			t.Errorf("%s: parsed", name)
 		}
 	}
 
 	// Payload-level abuse, rebuilt by hand around the real header.
-	payload := func(build func() []byte) []byte {
-		p := build()
-		f, lenAt := appendHeader(nil, FrameRequest, 0)
+	frame := func(p []byte) []byte {
+		f, lenAt := appendHeader(nil, FrameServiceCall, 0)
 		f = append(f, p...)
 		return patchLength(f, lenAt)
 	}
-	body := func(tail []byte) []byte {
-		// id, pseudonym "p", service "s", 4 IEEE coords, start, end
+	// head writes user, IEEE x and y, t and the service name.
+	head := func(x float64, service string) []byte {
 		p := appendVarint(nil, 1)
-		p = appendString(p, "p")
-		p = appendString(p, "s")
-		for _, v := range []float64{0, 0, 1, 1} {
-			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-		}
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(x))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(0))
 		p = appendVarint(p, 0)
-		p = appendVarint(p, 1)
-		return append(p, tail...)
+		return appendString(p, service)
+	}
+	// body adds an empty traceparent and then tail (the data map).
+	body := func(tail []byte) []byte {
+		return append(appendString(head(0, "s"), ""), tail...)
 	}
 	payloadCases := map[string][]byte{
-		"non-minimal varint": payload(func() []byte {
-			return body([]byte{0x80, 0x00}) // data count 0 in two bytes
-		}),
-		"varint too long": payload(func() []byte {
-			return body([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
-		}),
-		"string over-read": payload(func() []byte {
-			p := appendVarint(nil, 1)
-			p = appendUvarint(p, 1000) // pseudonym claims 1000 bytes
-			return append(p, 'p')
-		}),
-		"data count lies": payload(func() []byte {
-			return body(appendUvarint(nil, 100))
-		}),
-		"empty data key": payload(func() []byte {
+		"non-minimal varint": frame(body([]byte{0x80, 0x00})), // data count 0 in two bytes
+		"varint too long": frame(body([]byte{
+			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})),
+		"varint overflows": frame(body([]byte{
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})),
+		"string over-read": frame(func() []byte {
+			p := head(0, "s")
+			p = appendUvarint(p, 1000) // traceparent claims 1000 bytes
+			return append(p, 't')
+		}()),
+		"truncated coordinate": frame(append(appendVarint(nil, 1), 0, 0, 0)),
+		"data count lies":      frame(body(appendUvarint(nil, 100))),
+		"data value over-read": frame(func() []byte {
+			p := body(appendUvarint(nil, 1))
+			p = appendString(p, "k")
+			return appendUvarint(p, 50)
+		}()),
+		"empty data key": frame(func() []byte {
 			p := body(appendUvarint(nil, 1))
 			p = appendString(p, "")
 			return appendString(p, "v")
-		}),
-		"unsorted data keys": payload(func() []byte {
+		}()),
+		"unsorted data keys": frame(func() []byte {
 			p := body(appendUvarint(nil, 2))
 			p = appendString(p, "b")
 			p = appendString(p, "1")
 			p = appendString(p, "a")
 			return appendString(p, "2")
-		}),
-		"duplicate data keys": payload(func() []byte {
+		}()),
+		"duplicate data keys": frame(func() []byte {
 			p := body(appendUvarint(nil, 2))
 			p = appendString(p, "a")
 			p = appendString(p, "1")
 			p = appendString(p, "a")
 			return appendString(p, "2")
-		}),
-		"trailing payload": payload(func() []byte {
-			return body(append(appendUvarint(nil, 0), 0xde, 0xad))
-		}),
-		"empty pseudonym": payload(func() []byte {
-			p := appendVarint(nil, 1)
-			p = appendString(p, "")
-			p = appendString(p, "s")
-			for _, v := range []float64{0, 0, 1, 1} {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-			}
-			p = appendVarint(p, 0)
-			p = appendVarint(p, 1)
-			return appendUvarint(p, 0)
-		}),
-		"nan coordinate": payload(func() []byte {
-			p := appendVarint(nil, 1)
-			p = appendString(p, "p")
-			p = appendString(p, "s")
-			for _, v := range []float64{math.NaN(), 0, 1, 1} {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-			}
-			p = appendVarint(p, 0)
-			p = appendVarint(p, 1)
-			return appendUvarint(p, 0)
-		}),
+		}()),
+		"trailing payload": frame(body(append(appendUvarint(nil, 0), 0xde, 0xad))),
+		"empty service":    frame(append(appendString(head(0, ""), ""), 0)),
+		"nan coordinate":   frame(append(appendString(head(math.NaN(), "s"), ""), 0)),
 	}
 	for name, frame := range payloadCases {
-		if _, err := ParseBinaryRequest(frame); err == nil {
+		if _, err := parseServiceCall(frame); err == nil {
 			t.Errorf("%s: parsed", name)
 		}
+	}
+	// The hand-built body is itself well-formed, so each case above
+	// fails for its own abuse.
+	if _, err := parseServiceCall(frame(body(appendUvarint(nil, 0)))); err != nil {
+		t.Fatalf("well-formed hand-built call rejected: %v", err)
 	}
 
 	// Fixed-point coordinate out of the exact-integer range.
@@ -394,7 +315,7 @@ func TestBinaryParseRejectsMalformed(t *testing.T) {
 	f = appendVarint(f, 0)
 	f = appendVarint(f, 0)
 	f = patchLength(f, lenAt)
-	if _, err := ParseLocation(f); err == nil {
+	if _, err := parseLocation(f); err == nil {
 		t.Error("out-of-range fixed-point coordinate parsed")
 	}
 }
@@ -418,14 +339,14 @@ func TestBatchRoundTrip(t *testing.T) {
 			}
 			want = append(want, c)
 		case 2:
-			r := mkReq()
-			r.ID = MsgID(i)
+			c := mkCall()
+			c.User, c.X = int64(i), math.Copysign(0, -1)
 			var err error
-			frames, err = AppendBinaryRequest(frames, r)
+			frames, err = AppendServiceCall(frames, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, r)
+			want = append(want, c)
 		case 3:
 			d := DecisionFrame{Forwarded: i%8 == 3, Pseudonym: "p", TraceID: "t"}
 			frames = AppendDecision(frames, d)
@@ -452,10 +373,6 @@ func TestBatchRoundTrip(t *testing.T) {
 			got, err = ParseLocationPayload(dec.Flags(), dec.Payload())
 		case FrameServiceCall:
 			got, err = ParseServiceCallPayload(dec.Flags(), dec.Payload())
-		case FrameRequest:
-			r := new(Request)
-			err = parseRequestPayload(dec.Flags(), dec.Payload(), requestDst{r: r, copy: true})
-			got = r
 		case FrameDecision:
 			got, err = ParseDecisionPayload(dec.Flags(), dec.Payload())
 		default:
@@ -501,28 +418,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryParseZeroAlloc is the tentpole's allocation guard: the
-// pooled zero-copy request parse must not allocate at all.
-func TestBinaryParseZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are skewed under the race detector")
-	}
-	frame, err := EncodeBinaryRequest(mkReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := AcquireBinaryRequest()
-	defer br.Release()
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := br.ParseFrame(frame); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled binary parse allocates %.1f/op, want 0", allocs)
-	}
-}
-
 // TestBatchDecodeAllocBudget guards the server-side batch ingest path:
 // walking a batch and parsing every location payload allocates nothing.
 func TestBatchDecodeAllocBudget(t *testing.T) {
@@ -554,65 +449,5 @@ func TestBatchDecodeAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("batch location decode allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestBinaryVsTextRandomized cross-checks the codecs over seeded random
-// requests: both must round-trip to the same struct.
-func TestBinaryVsTextRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		r := &Request{
-			ID:        MsgID(rng.Int63() - rng.Int63()),
-			Pseudonym: Pseudonym(randString(rng)),
-			Service:   randString(rng),
-		}
-		minx, miny := randCoord(rng), randCoord(rng)
-		r.Context.Area = geo.Rect{MinX: minx, MinY: miny, MaxX: minx + math.Abs(randCoord(rng)), MaxY: miny + math.Abs(randCoord(rng))}
-		start := rng.Int63n(1 << 40)
-		r.Context.Time = geo.Interval{Start: start, End: start + rng.Int63n(10000)}
-		if rng.Intn(2) == 0 {
-			r.Data = map[string]string{randString(rng): randString(rng), "z" + randString(rng): ""}
-		}
-		line, err := EncodeRequest(r)
-		if err != nil {
-			t.Fatalf("case %d: text encode: %v", i, err)
-		}
-		fromText, err := ParseRequest(line)
-		if err != nil {
-			t.Fatalf("case %d: text parse: %v", i, err)
-		}
-		frame, err := EncodeBinaryRequest(r)
-		if err != nil {
-			t.Fatalf("case %d: binary encode: %v", i, err)
-		}
-		fromBinary, err := ParseBinaryRequest(frame)
-		if err != nil {
-			t.Fatalf("case %d: binary parse: %v", i, err)
-		}
-		if !reflect.DeepEqual(fromText, fromBinary) {
-			t.Fatalf("case %d: codecs disagree:\ntext   %+v\nbinary %+v", i, fromText, fromBinary)
-		}
-	}
-}
-
-func randString(rng *rand.Rand) string {
-	alphabet := "abc =&%αβ"
-	n := 1 + rng.Intn(8)
-	out := make([]rune, n)
-	for i := range out {
-		out[i] = []rune(alphabet)[rng.Intn(len([]rune(alphabet)))]
-	}
-	return string(out)
-}
-
-func randCoord(rng *rand.Rand) float64 {
-	switch rng.Intn(3) {
-	case 0: // lattice point, fixed-point representable
-		return float64(rng.Intn(1<<20)) / 4
-	case 1: // arbitrary double
-		return (rng.Float64() - 0.5) * 2000
-	default: // extreme magnitude
-		return math.Ldexp(rng.Float64(), rng.Intn(600)-300)
 	}
 }

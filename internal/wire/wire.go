@@ -6,7 +6,9 @@
 // The trusted server knows the exact position and instant behind each
 // request; a service provider sees only this generalized form. The
 // package sits at the bottom of the dependency graph so that the TS, the
-// SP/attacker, and the linkability tooling can all share the type.
+// SP/attacker, and the linkability tooling can all share the type. It
+// also holds the binary framing of the device→TS ingest channel
+// (binary.go, batch.go).
 package wire
 
 import (
