@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"histanon/internal/obs"
+	"histanon/internal/wire"
 )
 
 // spanSink collects the delivery spans the outbox records.
@@ -123,8 +124,16 @@ func TestDeliverySpanRetriesThenDrop(t *testing.T) {
 
 func TestDeliverySpanBreakerEvent(t *testing.T) {
 	sink := &countingSink{failN: 1 << 30}
+	// The first attempt waits at the gate until both requests are
+	// admitted; otherwise the worker could trip the breaker first and
+	// admission would refuse the second request outright.
+	gate := make(chan struct{})
+	gated := DeliveryFunc(func(r *wire.Request) error {
+		<-gate
+		return sink.Deliver(r)
+	})
 	rec := &spanSink{}
-	o := NewOutbox(sink, Options{
+	o := NewOutbox(gated, Options{
 		QueueSize: 16, Workers: 1, MaxAttempts: 1, Clock: &vclock{},
 		Deadline: time.Hour,
 		Breaker:  BreakerConfig{FailureThreshold: 1, OpenFor: time.Hour},
@@ -141,6 +150,7 @@ func TestDeliverySpanBreakerEvent(t *testing.T) {
 	if err := o.TryDeliverTraced(req(2), obs.MintTraceContext(true)); err != nil {
 		t.Fatal(err)
 	}
+	close(gate)
 	o.Close()
 
 	spans := rec.all()

@@ -124,6 +124,46 @@ type userTier struct {
 	runs  []coldRun
 }
 
+// coldBound is a fixed-size summary of one user's cold tier: the union
+// of the catalog boxes of every run with minT < cut, its time span
+// clipped to cut-1. Every cold sample lies inside it, so a query that
+// the bound rules out needs no per-run work. It is rebuilt whenever the
+// runs or the watermark change (rebuildColdBoundsLocked).
+type coldBound struct {
+	area       geo.Rect
+	minT, maxT int64
+	ok         bool // false: the user has no cold run
+}
+
+// distSq is the squared scaled distance from q to the bound, without
+// Hypot. Each axis gap is computed as Rect.DistToPoint and
+// STMetric.DistToBox compute it, from coordinates no closer to q than any
+// run's, so it never exceeds the gap to a run inside the bound.
+func (b *coldBound) distSq(q geo.STPoint, scale float64) float64 {
+	dx := b.area.MinX - q.P.X
+	if d := q.P.X - b.area.MaxX; d > dx {
+		dx = d
+	}
+	dy := b.area.MinY - q.P.Y
+	if d := q.P.Y - b.area.MaxY; d > dy {
+		dy = d
+	}
+	dx, dy = max(dx, 0), max(dy, 0)
+	var dt float64
+	if q.T < b.minT {
+		dt = float64(b.minT-q.T) * scale
+	} else if q.T > b.maxT {
+		dt = float64(q.T-b.maxT) * scale
+	}
+	return dx*dx + dy*dy + dt*dt
+}
+
+// misses reports whether the box is disjoint from the bound, so that no
+// cold sample of the user can lie inside it.
+func (b *coldBound) misses(box geo.STBox) bool {
+	return !b.ok || b.minT > box.Time.End || b.maxT < box.Time.Start || !box.Area.Intersects(b.area)
+}
+
 // TieredStore is the durable hot/cold PHL store: it implements both
 // phl.Storer and stindex.Index, so the trusted server can use one
 // object as its store and spatio-temporal index, keeping demotion
@@ -134,8 +174,10 @@ type TieredStore struct {
 	wal  *WAL
 
 	mu      sync.RWMutex
-	users   map[phl.UserID]*userTier
-	order   []phl.UserID
+	users   map[phl.UserID]int // index into order and tiers
+	order   []phl.UserID       // first-seen order
+	tiers   []userTier         // tiers[i] belongs to order[i]
+	bounds  []coldBound        // bounds[i] summarizes tiers[i].runs
 	hotIdx  stindex.Index
 	cut     int64 // T < cut is cold; advances at maintenance
 	maxT    int64
@@ -186,7 +228,7 @@ func Open(opts Options) (*TieredStore, *RecoveryInfo, error) {
 	t := &TieredStore{
 		opts:   opts,
 		fs:     fsys,
-		users:  make(map[phl.UserID]*userTier),
+		users:  make(map[phl.UserID]int),
 		hotIdx: stindex.NewGrid(opts.GridCell, opts.GridBucket),
 		cut:    math.MinInt64,
 		cache:  newRunCache(opts.ColdCacheEntries),
@@ -253,9 +295,10 @@ func Open(opts Options) (*TieredStore, *RecoveryInfo, error) {
 		t.cut = t.maxT - opts.HotWindow
 	}
 	warmLoaded := 0
-	for _, u := range t.order {
-		tier := t.users[u]
-		for _, run := range tier.runs {
+	for i := range t.tiers {
+		tier := &t.tiers[i]
+		for j := range tier.runs {
+			run := &tier.runs[j]
 			if run.ref.maxT < t.cut {
 				continue
 			}
@@ -281,6 +324,7 @@ func Open(opts Options) (*TieredStore, *RecoveryInfo, error) {
 		}
 	}
 	t.rebuildIndexLocked()
+	t.rebuildColdBoundsLocked()
 
 	lastSeq := t.snapSeq
 	if info.lastSeq > lastSeq {
@@ -371,15 +415,18 @@ func (t *TieredStore) truncateTornTail(info walReplayInfo) error {
 }
 
 // tier returns (creating if needed) the user's tier entry; caller holds
-// t.mu or is single-threaded recovery.
+// t.mu (write) or is single-threaded recovery. The pointer is valid only
+// until the next new user is added.
 func (t *TieredStore) tier(u phl.UserID) *userTier {
-	tier, ok := t.users[u]
+	i, ok := t.users[u]
 	if !ok {
-		tier = &userTier{}
-		t.users[u] = tier
+		i = len(t.order)
+		t.users[u] = i
 		t.order = append(t.order, u)
+		t.tiers = append(t.tiers, userTier{})
+		t.bounds = append(t.bounds, coldBound{})
 	}
-	return tier
+	return &t.tiers[i]
 }
 
 func (t *TieredStore) closeFiles() {
@@ -439,12 +486,12 @@ func (t *TieredStore) maintainLocked() {
 	upTo := t.wal.LastSeq() // every record <= upTo is in the tiers (appends happen under t.mu)
 	if t.freshN > 0 {
 		var runs []userRun
-		for _, u := range t.order {
-			tier := t.users[u]
+		for i := range t.tiers {
+			tier := &t.tiers[i]
 			if tier.fresh == nil || tier.fresh.Len() == 0 {
 				continue
 			}
-			runs = append(runs, userRun{user: u, pts: tier.fresh.Points()})
+			runs = append(runs, userRun{user: t.order[i], pts: tier.fresh.Points()})
 		}
 		img := encodeSnapshot(snapDelta, upTo, t.snapSeq, runs)
 		path, err := writeSnapshotFile(t.fs, t.opts.Dir, snapDelta, upTo, img)
@@ -473,7 +520,7 @@ func (t *TieredStore) maintainLocked() {
 		h := &snapHandle{seq: upTo, path: path, f: f}
 		t.chain = append(t.chain, h)
 		for _, ref := range meta.runs {
-			tier := t.users[ref.user]
+			tier := &t.tiers[t.users[ref.user]]
 			tier.runs = append(tier.runs, coldRun{file: h, ref: ref})
 		}
 		t.snapSeq = upTo
@@ -481,8 +528,8 @@ func (t *TieredStore) maintainLocked() {
 		// Everything in memory is now snapshotted: fold fresh into
 		// warm (warm samples always arrived before the previous
 		// snapshot, so warm wins ties).
-		for _, u := range t.order {
-			tier := t.users[u]
+		for i := range t.tiers {
+			tier := &t.tiers[i]
 			if tier.fresh == nil || tier.fresh.Len() == 0 {
 				continue
 			}
@@ -506,8 +553,8 @@ func (t *TieredStore) maintainLocked() {
 	}
 	droppedAny := false
 	droppedSamples := 0
-	for _, u := range t.order {
-		tier := t.users[u]
+	for i := range t.tiers {
+		tier := &t.tiers[i]
 		if tier.warm == nil || tier.warm.Len() == 0 {
 			continue
 		}
@@ -539,21 +586,24 @@ func (t *TieredStore) maintainLocked() {
 	if len(t.chain) > t.opts.MaxDeltas {
 		t.compactLocked()
 	}
+	// Runs (new delta, compaction) and cut may both have changed.
+	t.rebuildColdBoundsLocked()
 	_ = t.wal.Prune(t.snapSeq)
 }
 
 // compactLocked rewrites the whole snapshot chain as one full file and
-// deletes the superseded files. Caller holds t.mu.
+// deletes the superseded files. Caller holds t.mu and rebuilds the cold
+// bounds afterwards (the end of maintainLocked does).
 func (t *TieredStore) compactLocked() {
 	var runs []userRun
-	for _, u := range t.order {
-		tier := t.users[u]
+	for i := range t.tiers {
+		tier := &t.tiers[i]
 		if len(tier.runs) == 0 {
 			continue
 		}
 		var all []geo.STPoint
-		for _, run := range tier.runs {
-			pts, err := t.readRunNoCache(run)
+		for j := range tier.runs {
+			pts, err := t.readRunNoCache(&tier.runs[j])
 			if err != nil {
 				// A compaction that cannot read its inputs must not
 				// rewrite the chain; the old files stay live.
@@ -566,7 +616,7 @@ func (t *TieredStore) compactLocked() {
 				all = mergePts(all, pts)
 			}
 		}
-		runs = append(runs, userRun{user: u, pts: all})
+		runs = append(runs, userRun{user: t.order[i], pts: all})
 	}
 	img := encodeSnapshot(snapFull, t.snapSeq, 0, runs)
 	path, err := writeSnapshotFile(t.fs, t.opts.Dir, snapFull, t.snapSeq, img)
@@ -589,11 +639,11 @@ func (t *TieredStore) compactLocked() {
 	h := &snapHandle{seq: t.snapSeq, path: path, f: f}
 	old := t.chain
 	t.chain = []*snapHandle{h}
-	for _, u := range t.order {
-		t.users[u].runs = nil
+	for i := range t.tiers {
+		t.tiers[i].runs = nil
 	}
 	for _, ref := range meta.runs {
-		tier := t.users[ref.user]
+		tier := &t.tiers[t.users[ref.user]]
 		tier.runs = append(tier.runs, coldRun{file: h, ref: ref})
 	}
 	for _, oh := range old {
@@ -611,8 +661,8 @@ func (t *TieredStore) compactLocked() {
 // Caller holds t.mu (write), which excludes concurrent Insert readers.
 func (t *TieredStore) rebuildIndexLocked() {
 	idx := stindex.NewGrid(t.opts.GridCell, t.opts.GridBucket)
-	for _, u := range t.order {
-		tier := t.users[u]
+	for i, u := range t.order {
+		tier := &t.tiers[i]
 		if tier.warm != nil {
 			for _, p := range tier.warm.Points() {
 				idx.Insert(u, p)
@@ -625,6 +675,33 @@ func (t *TieredStore) rebuildIndexLocked() {
 		}
 	}
 	t.hotIdx = idx
+}
+
+// rebuildColdBoundsLocked recomputes every user's coldBound from the
+// run catalog and the current watermark. Caller holds t.mu (write) or is
+// single-threaded recovery; it must run after any change to runs or cut.
+func (t *TieredStore) rebuildColdBoundsLocked() {
+	for i := range t.tiers {
+		tier := &t.tiers[i]
+		b := coldBound{}
+		for j := range tier.runs {
+			ref := &tier.runs[j].ref
+			if ref.minT >= t.cut {
+				continue
+			}
+			if !b.ok {
+				b = coldBound{area: ref.bbox, minT: ref.minT, maxT: ref.maxT, ok: true}
+				continue
+			}
+			b.area = b.area.Union(ref.bbox)
+			b.minT = min(b.minT, ref.minT)
+			b.maxT = max(b.maxT, ref.maxT)
+		}
+		if b.ok && b.maxT >= t.cut {
+			b.maxT = t.cut - 1
+		}
+		t.bounds[i] = b
+	}
 }
 
 // Checkpoint forces a maintenance cycle (delta snapshot + demotion +
@@ -655,7 +732,7 @@ func (t *TieredStore) Close() error {
 }
 
 // readRun returns a run's samples through the LRU cache.
-func (t *TieredStore) readRun(run coldRun) ([]geo.STPoint, error) {
+func (t *TieredStore) readRun(run *coldRun) ([]geo.STPoint, error) {
 	key := runKey{seq: run.file.seq, user: run.ref.user}
 	if pts, ok := t.cache.get(key); ok {
 		t.coldHits.Add(1)
@@ -673,7 +750,7 @@ func (t *TieredStore) readRun(run coldRun) ([]geo.STPoint, error) {
 // readRunNoCache reads and verifies a run from disk. Errors count as
 // storage faults: the caller's query is now computed over a partial
 // PHL, and the server degrades it to suppression.
-func (t *TieredStore) readRunNoCache(run coldRun) ([]geo.STPoint, error) {
+func (t *TieredStore) readRunNoCache(run *coldRun) ([]geo.STPoint, error) {
 	buf := make([]byte, run.ref.length)
 	n, err := run.file.f.ReadAt(buf, run.ref.offset)
 	if int64(n) != run.ref.length {
@@ -725,12 +802,14 @@ func coldPrefix(pts []geo.STPoint, cut int64) []geo.STPoint {
 func (t *TieredStore) History(u phl.UserID) *phl.History {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	tier, ok := t.users[u]
+	i, ok := t.users[u]
 	if !ok {
 		return nil
 	}
+	tier := &t.tiers[i]
 	var coldParts [][]geo.STPoint
-	for _, run := range tier.runs {
+	for j := range tier.runs {
+		run := &tier.runs[j]
 		if run.ref.minT >= t.cut {
 			continue
 		}
@@ -780,17 +859,19 @@ func (t *TieredStore) History(u phl.UserID) *phl.History {
 
 // anyInLocked reports whether the user has a sample in the box, across
 // all tiers; caller holds t.mu (read).
-func (t *TieredStore) anyInLocked(tier *userTier, b geo.STBox) bool {
+func (t *TieredStore) anyInLocked(i int, b geo.STBox) bool {
+	tier := &t.tiers[i]
 	if tier.fresh != nil && tier.fresh.AnyIn(b) {
 		return true
 	}
 	if tier.warm != nil && tier.warm.AnyIn(b) {
 		return true
 	}
-	if b.Time.Start >= t.cut {
-		return false // the cold tier is entirely below the watermark
+	if t.bounds[i].misses(b) {
+		return false // no cold sample can lie in the box
 	}
-	for _, run := range tier.runs {
+	for j := range tier.runs {
+		run := &tier.runs[j]
 		if run.ref.minT >= t.cut || run.ref.minT > b.Time.End {
 			continue
 		}
@@ -840,9 +921,9 @@ func (t *TieredStore) UsersIn(b geo.STBox) []phl.UserID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []phl.UserID
-	for _, u := range t.order {
-		if t.anyInLocked(t.users[u], b) {
-			out = append(out, u)
+	for i := range t.tiers {
+		if t.anyInLocked(i, b) {
+			out = append(out, t.order[i])
 		}
 	}
 	return out
@@ -853,8 +934,8 @@ func (t *TieredStore) CountUsersIn(b geo.STBox) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
-	for _, u := range t.order {
-		if t.anyInLocked(t.users[u], b) {
+	for i := range t.tiers {
+		if t.anyInLocked(i, b) {
 			n++
 		}
 	}
@@ -866,11 +947,10 @@ func (t *TieredStore) LTConsistentUsers(boxes []geo.STBox) []phl.UserID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []phl.UserID
-	for _, u := range t.order {
-		tier := t.users[u]
+	for i, u := range t.order {
 		ok := true
 		for _, b := range boxes {
-			if !t.anyInLocked(tier, b) {
+			if !t.anyInLocked(i, b) {
 				ok = false
 				break
 			}
@@ -901,11 +981,20 @@ func (t *TieredStore) UsersInBox(b geo.STBox) []phl.UserID { return t.UsersIn(b)
 // CountUsersInBox implements stindex.Index.
 func (t *TieredStore) CountUsersInBox(b geo.STBox) int { return t.CountUsersIn(b) }
 
+// pruneSlack and minPruneRadius keep KNearestUsers' per-user prune
+// conservative; see prune2 there.
+const (
+	pruneSlack     = 1e-9
+	minPruneRadius = 1e-150
+)
+
 // KNearestUsers implements stindex.Index: the hot grid's answer,
 // augmented with cold candidates whose catalog bounding boxes the
-// metric cannot rule out. Exact whenever no two candidate users sit at
-// exactly equal distance (ties may swap which equal-distance witness
-// is reported — the anonymity level is unaffected).
+// metric cannot rule out. A user whose cold bound is already farther
+// than the k-th candidate costs a few flops and no lookup. Exact
+// whenever no two candidate users sit at exactly equal distance (ties
+// may swap which equal-distance witness is reported — the anonymity
+// level is unaffected).
 func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclude map[phl.UserID]bool) []stindex.UserPoint {
 	if k <= 0 {
 		return nil
@@ -921,40 +1010,46 @@ func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclud
 	for _, up := range hot {
 		cands[up.User] = cand{p: up.Point, d: m.Dist(q, up.Point)}
 	}
-	// bound is the kth-smallest known candidate distance: a valid
-	// pruning radius because the final kth distance can only be
-	// smaller. Recomputed lazily after improvements.
-	boundValid := false
-	var bound float64
-	kthBound := func() float64 {
-		if !boundValid {
-			if len(cands) < k {
-				bound = math.Inf(1)
-			} else {
-				ds := make([]float64, 0, len(cands))
-				for _, c := range cands {
-					ds = append(ds, c.d)
-				}
-				sort.Float64s(ds)
-				bound = ds[k-1]
-			}
-			boundValid = true
+	// kth is the kth-smallest known candidate distance: a valid pruning
+	// radius because the final kth distance can only be smaller. It is
+	// refreshed after every improvement. prune2 is kth² widened by a
+	// relative 1e-9, far beyond the few-ulp rounding of distSq and of
+	// DistToBox: a user whose cold bound lies past prune2 has no run that
+	// the exact per-run test below would keep, so skipping it leaves the
+	// answer unchanged. Radii whose square is not a normal float64 do not
+	// prune by the bound at all.
+	kth, prune2 := math.Inf(1), math.Inf(1)
+	var ds []float64
+	refreshKth := func() {
+		if len(cands) < k {
+			return
 		}
-		return bound
+		ds = ds[:0]
+		for _, c := range cands {
+			ds = append(ds, c.d)
+		}
+		sort.Float64s(ds)
+		kth, prune2 = ds[k-1], math.Inf(1)
+		if kth > minPruneRadius {
+			prune2 = kth * kth * (1 + pruneSlack)
+		}
 	}
-	for _, u := range t.order {
-		if exclude != nil && exclude[u] {
+	refreshKth()
+	scale := m.Scale()
+	for i := range t.bounds {
+		if b := &t.bounds[i]; !b.ok || b.distSq(q, scale) > prune2 {
 			continue
 		}
-		tier := t.users[u]
-		if len(tier.runs) == 0 {
+		tier, u := &t.tiers[i], t.order[i]
+		if exclude != nil && exclude[u] {
 			continue
 		}
 		best := math.Inf(1)
 		if c, ok := cands[u]; ok {
 			best = c.d
 		}
-		for _, run := range tier.runs {
+		for j := range tier.runs {
+			run := &tier.runs[j]
 			if run.ref.minT >= t.cut {
 				continue
 			}
@@ -964,7 +1059,7 @@ func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclud
 			}
 			runBox := geo.STBox{Area: run.ref.bbox, Time: geo.Interval{Start: run.ref.minT, End: effMax}}
 			lb := m.DistToBox(q, runBox)
-			if lb >= best || lb >= kthBound() {
+			if lb >= best || lb >= kth {
 				continue
 			}
 			pts, err := t.readRun(run)
@@ -978,7 +1073,7 @@ func (t *TieredStore) KNearestUsers(q geo.STPoint, k int, m geo.STMetric, exclud
 			if p, d, ok := phl.HistoryFromPoints(pre).Closest(q, m); ok && d < best {
 				best = d
 				cands[u] = cand{p: p, d: d}
-				boundValid = false
+				refreshKth()
 			}
 		}
 	}

@@ -173,21 +173,29 @@ func TestTieredKNNMatchesGrid(t *testing.T) {
 			P: geo.Point{X: rng.Float64() * 5e3, Y: rng.Float64() * 5e3},
 			T: int64(rng.Intn(2000)),
 		}
-		k := 1 + rng.Intn(8)
-		want := grid.KNearestUsers(qp, k, m, nil)
-		got := ts.KNearestUsers(qp, k, m, nil)
-		if len(want) != len(got) {
-			t.Fatalf("query %d: KNN returned %d users, want %d", q, len(got), len(want))
-		}
-		for i := range want {
-			wd := m.Dist(qp, want[i].Point)
-			gd := m.Dist(qp, got[i].Point)
-			if got[i].User != want[i].User || wd != gd {
-				t.Fatalf("query %d rank %d: (%d, %g) vs (%d, %g)",
-					q, i, got[i].User, gd, want[i].User, wd)
-			}
+		if err := sameKNN(grid, ts, qp, 1+rng.Intn(8), m, nil); err != nil {
+			t.Fatalf("query %d: %v", q, err)
 		}
 	}
+}
+
+// sameKNN compares one KNearestUsers answer of the tiered store with the
+// all-hot grid's: the same user and the same distance at every rank.
+func sameKNN(grid stindex.Index, ts *TieredStore, q geo.STPoint, k int, m geo.STMetric, exclude map[phl.UserID]bool) error {
+	want := grid.KNearestUsers(q, k, m, exclude)
+	got := ts.KNearestUsers(q, k, m, exclude)
+	if len(want) != len(got) {
+		return fmt.Errorf("KNN(%+v, k=%d) returned %d users, want %d", q, k, len(got), len(want))
+	}
+	for i := range want {
+		wd := m.Dist(q, want[i].Point)
+		gd := m.Dist(q, got[i].Point)
+		if got[i].User != want[i].User || wd != gd {
+			return fmt.Errorf("KNN(%+v, k=%d) rank %d: (%d, %g) vs (%d, %g)",
+				q, k, i, got[i].User, gd, want[i].User, wd)
+		}
+	}
+	return nil
 }
 
 func TestTieredRecoveryAfterClose(t *testing.T) {
