@@ -33,9 +33,18 @@ type StorageOracle struct {
 	// FS is the simulated disk under the tiered store.
 	FS *storage.MemFS
 
+	// latestChecks counts the Latest comparisons made per stage
+	// ("demotion", "compaction", "reopen" during ingestion; "ingested"
+	// and "close+reopen" in Check), so tests can require every stage to
+	// have been reached.
+	latestChecks map[string]int
+
 	store *storage.TieredStore
 	rng   *rand.Rand
 	divs  []Divergence
+	// ingestDivs are divergences found while ingesting; every Check
+	// reports them again.
+	ingestDivs []Divergence
 }
 
 // storageOracleOptions returns the aggressive demotion configuration:
@@ -64,26 +73,7 @@ func storageOracleOptions(fsys storage.FS, span int64) storage.Options {
 func NewStorageOracle(cfg PopulationConfig) (*StorageOracle, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	type rec struct {
-		u phl.UserID
-		p geo.STPoint
-	}
-	var recs []rec
-	half := cfg.Extent / 2
-	step := cfg.Extent / 20
-	for u := 0; u < cfg.Users; u++ {
-		pos := geo.Point{X: rng.Float64()*cfg.Extent - half, Y: rng.Float64()*cfg.Extent - half}
-		for i := 0; i < cfg.SamplesPerUser; i++ {
-			pos.X = clamp(pos.X+rng.NormFloat64()*step, -half, half)
-			pos.Y = clamp(pos.Y+rng.NormFloat64()*step, -half, half)
-			t := int64(float64(cfg.TimeSpan) * (float64(i) + rng.Float64()) / float64(cfg.SamplesPerUser))
-			recs = append(recs, rec{u: phl.UserID(u), p: geo.STPoint{P: pos, T: t}})
-		}
-	}
-	// Stable by time: per-user order (already time-sorted) survives,
-	// the global stream becomes time-monotone.
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].p.T < recs[j].p.T })
+	recs := oracleRecords(cfg, rng)
 
 	metric := geo.STMetric{TimeScale: cfg.TimeScale}
 	o := &StorageOracle{
@@ -95,8 +85,9 @@ func NewStorageOracle(cfg PopulationConfig) (*StorageOracle, error) {
 			Metric: metric,
 			Rng:    rng,
 		},
-		FS:  storage.NewMemFS(),
-		rng: rng,
+		FS:           storage.NewMemFS(),
+		latestChecks: make(map[string]int),
+		rng:          rng,
 	}
 	opts := storageOracleOptions(o.FS, cfg.TimeSpan)
 	st, _, err := storage.Open(opts)
@@ -106,24 +97,75 @@ func NewStorageOracle(cfg PopulationConfig) (*StorageOracle, error) {
 	o.store = st
 	o.Tiered = &Population{Cfg: cfg, Store: st, Index: st, Metric: metric, Rng: rng}
 
+	var demotions, fulls int64
 	for i, r := range recs {
 		o.Hot.Record(r.u, r.p)
 		o.Tiered.Record(r.u, r.p)
+		// Maintenance ran inside this Record when a counter moved: the
+		// watermark must survive demotion and compaction (which writes
+		// a full snapshot) unchanged.
+		stats := o.store.Stats()
+		if stats.Demotions != demotions {
+			o.checkLatest("demotion")
+		}
+		if stats.SnapshotsFull != fulls {
+			o.checkLatest("compaction")
+		}
+		demotions, fulls = stats.Demotions, stats.SnapshotsFull
 		if i == len(recs)/2 {
 			// Clean restart mid-workload: recovery must hand back the
 			// exact same observable PHL before ingestion continues.
-			if err := o.store.Close(); err != nil {
-				return nil, fmt.Errorf("close tiered store: %w", err)
+			if err := o.reopen(opts); err != nil {
+				return nil, err
 			}
-			st, _, err := storage.Open(opts)
-			if err != nil {
-				return nil, fmt.Errorf("recover tiered store: %w", err)
-			}
-			o.store = st
-			o.Tiered.Store, o.Tiered.Index = st, st
+			o.checkLatest("reopen")
+			demotions, fulls = 0, 0
 		}
 	}
+	o.ingestDivs, o.divs = o.divs, nil
 	return o, nil
+}
+
+// oracleRec is one location update of an oracle workload.
+type oracleRec struct {
+	u phl.UserID
+	p geo.STPoint
+}
+
+// oracleRecords draws cfg's random walks from rng and returns their
+// samples in global time order.
+func oracleRecords(cfg PopulationConfig, rng *rand.Rand) []oracleRec {
+	var recs []oracleRec
+	half := cfg.Extent / 2
+	step := cfg.Extent / 20
+	for u := 0; u < cfg.Users; u++ {
+		pos := geo.Point{X: rng.Float64()*cfg.Extent - half, Y: rng.Float64()*cfg.Extent - half}
+		for i := 0; i < cfg.SamplesPerUser; i++ {
+			pos.X = clamp(pos.X+rng.NormFloat64()*step, -half, half)
+			pos.Y = clamp(pos.Y+rng.NormFloat64()*step, -half, half)
+			t := int64(float64(cfg.TimeSpan) * (float64(i) + rng.Float64()) / float64(cfg.SamplesPerUser))
+			recs = append(recs, oracleRec{u: phl.UserID(u), p: geo.STPoint{P: pos, T: t}})
+		}
+	}
+	// Stable by time: per-user order (already time-sorted) survives,
+	// the global stream becomes time-monotone.
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].p.T < recs[j].p.T })
+	return recs
+}
+
+// reopen closes the tiered store and recovers it from its directory,
+// as a restarted server would.
+func (o *StorageOracle) reopen(opts storage.Options) error {
+	if err := o.store.Close(); err != nil {
+		return fmt.Errorf("close tiered store: %w", err)
+	}
+	st, _, err := storage.Open(opts)
+	if err != nil {
+		return fmt.Errorf("recover tiered store: %w", err)
+	}
+	o.store = st
+	o.Tiered.Store, o.Tiered.Index = st, st
+	return nil
 }
 
 // Store returns the live TieredStore under test (it changes identity
@@ -188,9 +230,10 @@ func equalPoints(a, b []geo.STPoint) bool {
 // empty slice means the tiered store is observationally identical to
 // the all-hot baseline. queries sizes the randomized probe mix.
 func (o *StorageOracle) Check(queries int) []Divergence {
-	o.divs = nil
+	o.divs = append([]Divergence(nil), o.ingestDivs...)
 	faults0 := o.store.StorageFaults()
 	o.checkVacuity()
+	o.checkLatest("ingested")
 	o.checkHistories()
 	for qi := 0; qi < queries; qi++ {
 		o.checkBoxQuery(qi)
@@ -203,7 +246,24 @@ func (o *StorageOracle) Check(queries int) []Divergence {
 	if moved := o.store.StorageFaults() - faults0; moved != 0 {
 		o.fail("faults", -1, "healthy probes counted %d storage faults", moved)
 	}
+	if err := o.reopen(storageOracleOptions(o.FS, o.Cfg.TimeSpan)); err != nil {
+		o.fail("reopen", -1, "%v", err)
+	} else {
+		o.checkLatest("close+reopen")
+	}
 	return o.divs
+}
+
+// checkLatest compares the newest-sample watermark, which gates the
+// on-demand mix-zone search (mixzone.FindDiverging): a tiered store
+// reporting it too low would skip searches the in-memory store runs.
+func (o *StorageOracle) checkLatest(stage string) {
+	o.latestChecks[stage]++
+	ht, hok := o.Hot.Store.Latest()
+	tt, tok := o.Tiered.Store.Latest()
+	if ht != tt || hok != tok {
+		o.fail("latest", -1, "Latest after %s: hot %d (ok=%v), tiered %d (ok=%v)", stage, ht, hok, tt, tok)
+	}
 }
 
 // checkVacuity guards the oracle itself: if demotion never happened
@@ -368,4 +428,63 @@ func RunStorageDifferential(cfg PopulationConfig, queries int) ([]Divergence, er
 	}
 	defer o.Close()
 	return o.Check(queries), nil
+}
+
+// crashLatest is the torn-tail leg of the Latest comparison. It ingests
+// cfg's workload into a TieredStore with fsync off (the storage oracle's
+// demotion settings otherwise), kills the simulated disk after a seeded
+// number of records, and keeps a seeded prefix of every file's unsynced
+// tail, with its last byte corrupted when corruptTip is set. Recovery
+// truncates the torn WAL records, which are the newest samples, so the
+// watermark may have to come down. The recovered store's Latest is
+// compared with a phl.Store rebuilt from its own histories, once after
+// recovery and once after a further Close and reopen. dropped reports
+// whether the crash lowered the watermark, so callers can require that
+// some seeds exercise that case.
+func crashLatest(cfg PopulationConfig, corruptTip bool) (divs []Divergence, dropped bool, err error) {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	recs := oracleRecords(cfg, rng)
+	fsys := storage.NewMemFS()
+	opts := storageOracleOptions(fsys, cfg.TimeSpan)
+	opts.Sync = storage.SyncNone
+	st, _, err := storage.Open(opts)
+	if err != nil {
+		return nil, false, fmt.Errorf("open tiered store: %w", err)
+	}
+	killAt := len(recs)/2 + rng.Intn(len(recs)-len(recs)/2)
+	for _, r := range recs[:killAt+1] {
+		st.Record(r.u, r.p)
+	}
+	ingested, _ := st.Latest()
+	fsys.TornWriter = func(path string, unsynced int) (int, bool) {
+		return rng.Intn(unsynced + 1), corruptTip
+	}
+	// The crashed instance is abandoned unclosed, as after a power
+	// failure; recovery opens what survived on the simulated disk.
+	fsys.Crash()
+	fsys.TornWriter = nil
+
+	for _, stage := range []string{"crash recovery", "close+reopen"} {
+		if st, _, err = storage.Open(opts); err != nil {
+			return divs, dropped, fmt.Errorf("%s: %w", stage, err)
+		}
+		rebuilt := phl.NewStore()
+		for _, u := range st.Users() {
+			for _, p := range st.History(u).Points() {
+				rebuilt.Record(u, p)
+			}
+		}
+		wt, wok := rebuilt.Latest()
+		tt, tok := st.Latest()
+		if wt != tt || wok != tok {
+			divs = append(divs, Divergence{Index: "tiered", Kind: "latest", Query: -1,
+				Detail: fmt.Sprintf("Latest after %s: recovered PHL %d (ok=%v), store %d (ok=%v)", stage, wt, wok, tt, tok)})
+		}
+		dropped = dropped || !tok || tt < ingested
+		if err := st.Close(); err != nil {
+			return divs, dropped, fmt.Errorf("close after %s: %w", stage, err)
+		}
+	}
+	return divs, dropped, nil
 }

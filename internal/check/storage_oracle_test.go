@@ -40,6 +40,58 @@ func TestStorageDifferentialOracle(t *testing.T) {
 	}
 }
 
+// TestStorageOracleLatestStages requires the Latest comparison to have
+// run at every stage the oracle checks it: after demotion, after a full
+// snapshot, across the mid-workload and the final Close plus reopen, and
+// after ingestion. The comparisons themselves run inside Check, so
+// any disagreement fails there.
+func TestStorageOracleLatestStages(t *testing.T) {
+	seen := map[string]int{}
+	for seed := int64(1); seed <= 30; seed++ {
+		o, err := NewStorageOracle(PopulationConfig{Seed: seed, Users: 6 + int(seed%20), SamplesPerUser: 8 + int(seed%9)})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if divs := o.Check(4); len(divs) != 0 {
+			t.Fatalf("seed %d: %v", seed, divs)
+		}
+		for stage, n := range o.latestChecks {
+			seen[stage] += n
+		}
+		o.Close()
+	}
+	for _, stage := range []string{"demotion", "compaction", "reopen", "ingested", "close+reopen"} {
+		if seen[stage] == 0 {
+			t.Errorf("Latest never compared after %s (checks: %v)", stage, seen)
+		}
+	}
+}
+
+// TestStorageOracleLatestAfterCrash runs the torn-tail recovery leg on
+// 40 seeds, half with a corrupted final byte. The recovered store's
+// Latest must match its own recovered PHL. Some seed must have lost its
+// newest samples in the crash; otherwise the leg never tests a
+// watermark that has to come down.
+func TestStorageOracleLatestAfterCrash(t *testing.T) {
+	drops := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		divs, dropped, err := crashLatest(PopulationConfig{Seed: seed}, seed%2 == 0)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, d := range divs {
+			t.Errorf("seed %d: %s", seed, d.Detail)
+		}
+		if dropped {
+			drops++
+		}
+	}
+	if drops == 0 {
+		t.Fatal("no crash lowered the watermark; the torn-tail leg is vacuous")
+	}
+	t.Logf("%d of 40 crashes lowered the watermark", drops)
+}
+
 // TestStorageOracleFalsifiable proves the oracle can actually fail: a
 // single sample recorded into only one view must surface as at least
 // one divergence.

@@ -98,7 +98,12 @@ type Report struct {
 	// registered mix zone.
 	NaturalZoneRate float64
 	// OnDemandRate is the fraction of samples where k−1 diverging
-	// trajectories would support an on-demand zone.
+	// trajectories would support an on-demand zone. It is a hindsight
+	// figure: the search runs over finished histories, so candidates'
+	// headings use samples from after each request. A live trusted
+	// server ingests in time order and never holds those samples at
+	// decision time, so every on-demand zone it forms is a
+	// temporal-only fallback zone (see package mixzone).
 	OnDemandRate float64
 	// CoveredRate is the fraction of samples that are feasible OR have
 	// some unlinking opportunity.
@@ -222,7 +227,7 @@ func (r Report) Format() string {
 	return fmt.Sprintf(
 		"samples: %d\nfeasible within tolerance: %.1f%%\n"+
 			"expected cloak: %.2f km^2, %.0f s\n"+
-			"natural mix-zone reach: %.1f%%\non-demand zone availability: %.1f%%\n"+
+			"natural mix-zone reach: %.1f%%\non-demand zone availability (hindsight): %.1f%%\n"+
 			"covered (feasible or unlinkable): %.1f%%\nverdict: %s",
 		r.Samples, 100*r.FeasibleRate, area, window,
 		100*r.NaturalZoneRate, 100*r.OnDemandRate, 100*r.CoveredRate, r.Verdict)

@@ -11,6 +11,23 @@
 // (each one for a different user) that are sufficiently close to the
 // point". This package provides both the static-zone registry and the
 // diverging-trajectory search.
+//
+// The divergence test estimates a candidate's heading from their sample
+// nearest t to their sample nearest t + Horizon, and accepts it only
+// when the second is strictly later than the first. FindDiverging
+// therefore returns (nil, false) without searching when the store's
+// Latest sample time is at or before t. Proof: with every sample at or
+// before t, the sample nearest t is one at the user's last sample time.
+// A later probe (positive Horizon) keeps that sample in the lead, and an
+// earlier one (negative Horizon) can only land on a sample no later, so
+// the second lookup is never later than the first and every candidate
+// is rejected, whatever its position or MinAngle. The lookups use a
+// metric in which a second weighs 10¹² m, so this holds for any
+// position within 10¹² m of the origin. A trusted server ingests in
+// time order, so at decision time the guard always fires: a live
+// on-demand request only ever yields the FallbackRadius temporal-only
+// zone. Over a finished history (deploy.Report, hindsight studies) the
+// watermark lies far past t and the full search runs.
 package mixzone
 
 import (
@@ -63,7 +80,7 @@ func (r *Registry) ZoneAt(p geo.Point) (Zone, bool) {
 // history shows a qualifying crossing of some zone ending at or before
 // now: the user entered a zone and dwelt at least MinDwell.
 func (r *Registry) CrossedZone(h *phl.History, since, now int64) (Zone, bool) {
-	if h == nil {
+	if h == nil || len(r.zones) == 0 {
 		return Zone{}, false
 	}
 	pts := h.In(geo.STBox{
@@ -124,7 +141,7 @@ func (d Divergence) minAngle() float64 {
 // vector from their position at (or just before) t to their position one
 // horizon later. ok is false when the history has no samples on both
 // sides or the user does not move.
-func (d Divergence) heading(h *phl.History, t int64, m geo.STMetric) (float64, bool) {
+func (d Divergence) heading(h *phl.History, t int64) (float64, bool) {
 	if h == nil || h.Len() == 0 {
 		return 0, false
 	}
@@ -153,10 +170,20 @@ func onlyTimeMetric() geo.STMetric { return geo.STMetric{TimeScale: 1e12} }
 // ⟨p,t⟩; a greedy pass keeps those whose heading differs from every kept
 // heading by at least MinAngle. ok is false when fewer than k diverging
 // users are found among the nearest candidates.
+//
+// When the store holds no sample later than t — always the case for a
+// trusted server ingesting in time order — the search is skipped and
+// (nil, false) returned without a KNN: see the package doc for why no
+// candidate's heading could be accepted then.
 func FindDiverging(idx stindex.Index, store phl.Storer, issuer phl.UserID,
 	p geo.Point, t int64, k int, d Divergence, m geo.STMetric) ([]phl.UserID, bool) {
 	if k <= 0 {
 		return nil, true
+	}
+	// The watermark is read before the KNN, so a skipped search answers
+	// as one run entirely at this instant would have.
+	if latest, ok := store.Latest(); !ok || latest <= t {
+		return nil, false
 	}
 	// Over-fetch: divergence rejects some near users.
 	fetch := 4*k + 8
@@ -164,7 +191,7 @@ func FindDiverging(idx stindex.Index, store phl.Storer, issuer phl.UserID,
 	var kept []phl.UserID
 	var headings []float64
 	for _, c := range cands {
-		hd, ok := d.heading(store.History(c.User), t, m)
+		hd, ok := d.heading(store.History(c.User), t)
 		if !ok {
 			continue
 		}

@@ -166,15 +166,20 @@ type Storer interface {
 	// LTConsistentUsers returns the users whose history is LT-consistent
 	// with every one of the given boxes, in first-seen order.
 	LTConsistentUsers(boxes []geo.STBox) []UserID
+	// Latest returns the largest sample time recorded across all users;
+	// ok is false while the store holds no sample. Out-of-order samples
+	// count: it is a maximum, not the time of the last Record.
+	Latest() (t int64, ok bool)
 }
 
 // Store is the trusted server's PHL database: one History per user.
 // It is safe for concurrent use.
 type Store struct {
-	mu    sync.RWMutex
-	users map[UserID]*History
-	order []UserID // deterministic iteration order (insertion order)
-	count int      // total samples across users
+	mu     sync.RWMutex
+	users  map[UserID]*History
+	order  []UserID // deterministic iteration order (insertion order)
+	count  int      // total samples across users
+	latest int64    // largest sample time; meaningful when count > 0
 }
 
 // NewStore returns an empty PHL store.
@@ -204,6 +209,9 @@ func (s *Store) Record(u UserID, p geo.STPoint) {
 	}
 	next.Append(p)
 	s.users[u] = next
+	if s.count == 0 || p.T > s.latest {
+		s.latest = p.T
+	}
 	s.count++
 }
 
@@ -237,6 +245,14 @@ func (s *Store) NumSamples() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.count
+}
+
+// Latest returns the largest sample time recorded; ok is false for an
+// empty store.
+func (s *Store) Latest() (int64, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.latest, s.count > 0
 }
 
 // UsersIn returns the users having at least one sample in the box, in

@@ -916,6 +916,14 @@ func (t *TieredStore) NumSamples() int {
 	return t.hot + t.cold
 }
 
+// Latest implements phl.Storer: the newest sample time across every
+// tier, the same watermark the demotion cut follows.
+func (t *TieredStore) Latest() (int64, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.maxT, t.haveT
+}
+
 // UsersIn implements phl.Storer.
 func (t *TieredStore) UsersIn(b geo.STBox) []phl.UserID {
 	t.mu.RLock()

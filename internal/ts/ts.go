@@ -1117,15 +1117,19 @@ func (s *Server) decayFor(p Policy) generalize.DecaySchedule {
 // Callers hold st.mu.
 func (s *Server) unlink(u phl.UserID, st *userState, pol Policy, p geo.STPoint, dec *Decision, tc obs.TraceContext) string {
 	// A recent static-zone crossing makes rotation safe immediately.
-	lookback := p.T - 4*3600
-	if z, crossed := s.cfg.StaticZones.CrossedZone(s.store.History(u), lookback, p.T); crossed {
-		zone := z.Name
-		if zone == "" {
-			zone = "static"
+	// Without zones there is nothing to cross, so the history (a cold
+	// merge on the tiered store) is not fetched.
+	if len(s.cfg.StaticZones.Zones()) > 0 {
+		lookback := p.T - 4*3600
+		if z, crossed := s.cfg.StaticZones.CrossedZone(s.store.History(u), lookback, p.T); crossed {
+			zone := z.Name
+			if zone == "" {
+				zone = "static"
+			}
+			s.rotate(u, st, p.T, zone, tc)
+			dec.Unlinked = true
+			return zone
 		}
-		s.rotate(u, st, p.T, zone, tc)
-		dec.Unlinked = true
-		return zone
 	}
 	// Otherwise plan an on-demand mix zone around the user.
 	plan, ok := s.cfg.OnDemand.Plan(s.index, s.store, u, p.P, p.T, pol.K-1, s.cfg.Metric)
